@@ -56,13 +56,18 @@ crash:
 # Metrics side-channel guard: an order-16 report must print byte-identical
 # stdout with and without -metrics, and the snapshot it writes must be
 # non-empty. This is the executable form of the contract that attaching
-# observability can never perturb results.
+# observability can never perturb results. An order-14 dnsscan run must
+# then record SendBatch calls in its transport.batch.size histogram, so
+# no transport wrapper in the tool hides batching from the sweep.
 metrics-smoke:
 	$(GO) build -o /tmp/wildreport_metrics ./cmd/wildreport
 	/tmp/wildreport_metrics -order 16 -weeks 8 -week 7 > /tmp/wr_nometrics.txt
 	/tmp/wildreport_metrics -order 16 -weeks 8 -week 7 -metrics /tmp/wr_metrics.json > /tmp/wr_withmetrics.txt
 	diff /tmp/wr_nometrics.txt /tmp/wr_withmetrics.txt
 	test -s /tmp/wr_metrics.json
+	$(GO) build -o /tmp/dnsscan_metrics ./cmd/dnsscan
+	/tmp/dnsscan_metrics -order 14 -metrics /tmp/ds_metrics.json > /dev/null
+	test "$$(awk '/"name": "transport.batch.size"/ {h=1} h && /^      "count": / {print $$2+0; exit}' /tmp/ds_metrics.json)" -gt 0
 
 # Streaming epoch guard: the weekly series run incrementally via
 # -epochs (per-week delta batches applied live) must print stdout

@@ -125,7 +125,6 @@ func benchSweep(order uint) (sweepBench, error) {
 // transport (or any Transport wrapper around it).
 func benchScanner(s *core.Study, tr scanner.Transport, order uint, shards int) (int64, uint64) {
 	sc := scanner.New(tr, scanner.Options{
-		Workers:     s.Cfg.Workers,
 		Shards:      shards,
 		Retries:     1,
 		SettleDelay: scanner.NoSettle,
@@ -143,8 +142,8 @@ func benchScanner(s *core.Study, tr scanner.Transport, order uint, shards int) (
 	return r.NsPerOp(), probed
 }
 
-// singleOnly hides the transport's BatchSender so the scanner falls
-// back to the per-probe Send loop.
+// singleOnly hides the transport's BatchSender so the scanner sends
+// each batch through its per-probe Send adapter.
 type singleOnly struct{ scanner.Transport }
 
 func benchShardTable(s *core.Study, order uint, ms []int) []shardRow {

@@ -86,10 +86,11 @@ func main() {
 	wcfg := wildnet.DefaultConfig(*order)
 	wcfg.Seed = *seed
 	// Metrics are a pure side channel: the scan's stdout is
-	// byte-identical with and without a registry attached.
-	var reg *metrics.Registry
+	// byte-identical with and without a registry attached. The scanner
+	// always counts into reg, which the traffic line reads; the world's
+	// fault counters join it when an observability flag asks for them.
+	reg := metrics.New()
 	if *metricsPath != "" || *debugAddr != "" || *progress {
-		reg = metrics.New()
 		wcfg.Metrics = reg
 	}
 	if *chaos != "" {
@@ -135,14 +136,13 @@ func main() {
 	}
 	defer tr.Close()
 
-	counted, stats := scanner.WithStats(tr)
 	sweepRetries := 0
 	if wcfg.Faults.Enabled() {
 		// Ride over the injected loss the way the chaos harness does.
 		sweepRetries = 2
 	}
-	sc := scanner.New(counted, scanner.Options{
-		Workers: 8, Retries: 1, SettleDelay: settle, RatePPS: *rate,
+	sc := scanner.New(tr, scanner.Options{
+		Retries: 1, SettleDelay: settle, RatePPS: *rate,
 		SweepRetries: sweepRetries, Metrics: reg,
 	})
 	if *debugAddr != "" {
@@ -170,8 +170,8 @@ func main() {
 		stopProg := metrics.StartProgress(os.Stderr, scanner.SystemClock, 2*time.Second, reg, nil)
 		defer stopProg()
 	}
-	defer func() { fmt.Printf("traffic: %s\n", stats.Snapshot()) }()
 	start := time.Now()
+	defer func() { fmt.Println(trafficLine(reg.Snapshot(), time.Since(start))) }()
 	var sweep *scanner.SweepResult
 	if *epochs > 0 {
 		// Epoch-streaming mode: one weekly sweep per epoch, expressed as
@@ -304,4 +304,18 @@ func writeMetricsSnapshot(path string, reg *metrics.Registry) error {
 		return err
 	}
 	return f.Close()
+}
+
+// trafficLine renders the sweep's probe and response counts and its
+// average send rate over elapsed.
+func trafficLine(snap metrics.Snapshot, elapsed time.Duration) string {
+	sent, recv := snap.Counter("scanner.sweep.sent"), snap.Counter("scanner.sweep.recv")
+	ratio, rate := 0.0, 0.0
+	if sent > 0 {
+		ratio = float64(recv) / float64(sent)
+	}
+	if elapsed > 0 {
+		rate = float64(sent) / elapsed.Seconds()
+	}
+	return fmt.Sprintf("traffic: sent=%d recv=%d (%.1f%%) rate=%.0f pps", sent, recv, 100*ratio, rate)
 }

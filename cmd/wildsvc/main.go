@@ -48,7 +48,6 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 2, "bounded epoch queue between producer and store")
 		ttlBase     = flag.Int("ttl-base", resolvesvc.DefaultTTLBase, "refresh TTL in epochs for once-flapped records (halves per flap)")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long the coalescer gathers concurrent misses into one probe batch")
-		workers     = flag.Int("workers", 8, "scanner sender goroutines")
 		progress    = flag.Bool("progress", false, "print one line per committed epoch to stderr")
 		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
 		loadgen     = flag.Bool("loadgen", false, "run the epochs, then the deterministic lookup storm, and write the benchmark report")
@@ -66,7 +65,6 @@ func main() {
 	cfg := core.DefaultConfig(*order)
 	cfg.Seed = *seed
 	cfg.Weeks = *epochs
-	cfg.Workers = *workers
 	cfg.Metrics = reg
 	if *smoke {
 		// The smoke run is small and fast: a few epochs, a generous

@@ -44,7 +44,8 @@ type Config struct {
 	Weeks int
 	// Loss is the per-packet loss probability.
 	Loss float64
-	// Workers is the scanner's sender concurrency.
+	// Workers sizes the list scans (domain, CHAOS, alive) when Shards
+	// is 0 or 1 (scanner.Options.Workers). Sweeps do not read it.
 	Workers int
 	// Shards runs every sweep as that many leapfrog shard workers
 	// (scanner.Options.Shards). 0 or 1 scans unsharded; results are

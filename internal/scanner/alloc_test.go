@@ -15,26 +15,7 @@ import (
 // Message unpack) fails CI instead of silently halving throughput.
 
 func TestSweepSendPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instruments allocations")
-	}
-	base := dnswire.CanonicalName(domains.ScanBase)
-	baseWire, err := dnswire.EncodeNameWire(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 0, 128)
-	u := uint32(0x0A0B0C0D)
-	allocs := testing.AllocsPerRun(500, func() {
-		prefix := cachePrefix(u)
-		wire := dnswire.AppendTargetQuery(buf[:0], uint16(u)^uint16(u>>16),
-			prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-		buf = wire[:0]
-		u++
-	})
-	if allocs != 0 {
-		t.Fatalf("sweep probe assembly allocates %.1f per probe, want 0", allocs)
-	}
+	assertBatchAssemblyAllocs(t, 0)
 }
 
 // TestSweepRetrySendPathAllocs pins the retry rounds to the same budget:
@@ -42,27 +23,40 @@ func TestSweepSendPathAllocs(t *testing.T) {
 // an allocation, or a lossy-profile sweep (which retries a large share of
 // the population) would pay per-probe garbage the census never did.
 func TestSweepRetrySendPathAllocs(t *testing.T) {
+	for attempt := 1; attempt <= 2; attempt++ {
+		assertBatchAssemblyAllocs(t, attempt)
+	}
+}
+
+// assertBatchAssemblyAllocs drives the sweep engine's per-batch assembly
+// — probeBatch reset, add over templateBuild, finish — for full batches
+// of the given attempt and requires zero heap allocations per batch, and
+// so per probe.
+func assertBatchAssemblyAllocs(t *testing.T, attempt int) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	base := dnswire.CanonicalName(domains.ScanBase)
-	baseWire, err := dnswire.EncodeNameWire(base)
+	baseWire, err := dnswire.EncodeNameWire(dnswire.CanonicalName(domains.ScanBase))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, 128)
+	build := templateBuild(baseWire, attempt)
+	bat := probeBatchPool.Get().(*probeBatch)
+	defer probeBatchPool.Put(bat)
 	u := uint32(0x0A0B0C0D)
-	allocs := testing.AllocsPerRun(500, func() {
-		for attempt := 1; attempt <= 2; attempt++ {
-			prefix := cachePrefixN(u, attempt)
-			wire := dnswire.AppendTargetQuery(buf[:0], uint16(u)^uint16(u>>16),
-				prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-			buf = wire[:0]
+	allocs := testing.AllocsPerRun(50, func() {
+		bat.reset()
+		for i := 0; i < streamBatch; i++ {
+			bat.add(u, build)
+			u++
 		}
-		u++
+		if probes := bat.finish(33000); len(probes) != streamBatch {
+			t.Fatalf("batch holds %d probes, want %d", len(probes), streamBatch)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("retry probe assembly allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("attempt %d: batch assembly allocates %.1f per %d-probe batch, want 0", attempt, allocs, streamBatch)
 	}
 }
 
@@ -73,7 +67,7 @@ func TestSweepReceivePathAllocs(t *testing.T) {
 	// Build one realistic sweep response: the echoed question plus an A
 	// answer.
 	u := uint32(0x7F000001)
-	prefix := cachePrefix(u)
+	prefix := cachePrefixN(u, 0)
 	name := dnswire.EncodeTargetQName(string(prefix[:]), lfsr.U32ToAddr(u), domains.ScanBase)
 	m := dnswire.NewQuery(uint16(u)^uint16(u>>16), name, dnswire.TypeA, dnswire.ClassIN)
 	m.Header.QR = true

@@ -160,8 +160,9 @@ func TestShardedSweepBudgetSplit(t *testing.T) {
 }
 
 // TestBatchedDispatchMatchesPerProbe pins that hiding BatchSender from
-// the scanner (forcing the per-probe Send loop) changes nothing about
-// the result — batching is pure dispatch overhead.
+// the scanner (so the engine dispatches through its per-probe Send
+// adapter) changes nothing about the result — batching is pure dispatch
+// overhead.
 func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 	run := func(hide bool) *SweepResult {
 		w, err := wildnet.NewWorld(wildnet.DefaultConfig(14))

@@ -48,41 +48,6 @@ func (n *nullTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint
 
 func (n *nullTransport) Close() error { return nil }
 
-func TestStatsWithFakeClock(t *testing.T) {
-	fc := newFakeClock()
-	inner := &nullTransport{}
-	tr, stats := WithStatsClock(inner, fc)
-	tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) {})
-
-	payload := make([]byte, 10)
-	for i := 0; i < 20; i++ {
-		if err := tr.Send(context.Background(), netip.MustParseAddr("192.0.2.1"), 53, 40000, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		inner.recv(netip.MustParseAddr("192.0.2.1"), 53, 40000, payload[:4])
-	}
-	fc.Advance(2 * time.Second)
-
-	snap := stats.Snapshot()
-	if snap.Sent != 20 || snap.Received != 5 {
-		t.Errorf("sent=%d recv=%d, want 20/5", snap.Sent, snap.Received)
-	}
-	if snap.BytesOut != 200 || snap.BytesIn != 20 {
-		t.Errorf("bytesOut=%d bytesIn=%d, want 200/20", snap.BytesOut, snap.BytesIn)
-	}
-	if snap.Elapsed != 2*time.Second {
-		t.Errorf("Elapsed = %v, want exactly 2s", snap.Elapsed)
-	}
-	if got := snap.Rate(); got != 10 {
-		t.Errorf("Rate() = %v pps, want exactly 10", got)
-	}
-	if got := snap.ResponseRatio(); got != 0.25 {
-		t.Errorf("ResponseRatio() = %v, want 0.25", got)
-	}
-}
-
 func TestRateLimiterWithFakeClock(t *testing.T) {
 	fc := newFakeClock()
 	start := fc.Now()

@@ -24,8 +24,9 @@ type scanMetrics struct {
 	snoopSent, snoopRecv     *metrics.Counter
 	probeSent, probeRecv     *metrics.Counter
 	tcpSent, tcpRecv         *metrics.Counter
-	// retryRounds counts retry rounds that actually retransmitted;
-	// retrySpend counts the retransmissions they sent.
+	// retryRounds counts retry rounds started (once per round of a
+	// sweep, whatever its shard count); retrySpend counts the
+	// retransmissions they sent.
 	retryRounds *metrics.Counter
 	retrySpend  *metrics.Counter
 	// settleWaits counts settle barriers that waited for in-flight
@@ -34,10 +35,10 @@ type scanMetrics struct {
 	settleWaits *metrics.Counter
 	// rateStalls counts rate-limiter sleeps (Timing class).
 	rateStalls *metrics.Counter
-	// batchSize distributes the per-SendBatch probe counts the batched
-	// send path dispatched. The multiset of batch sizes is deterministic
-	// (full streamBatch flushes plus one remainder per stream), even
-	// though which worker flushed which batch is not.
+	// batchSize distributes the per-SendBatch probe counts the sweep
+	// dispatched. The multiset of batch sizes is deterministic (each
+	// shard's generator batches and miss filter are), even though the
+	// order in which workers flushed them is not.
 	batchSize *metrics.Histogram
 }
 

@@ -174,29 +174,3 @@ func TestTCPFramingRoundTrip(t *testing.T) {
 		t.Error("short frame accepted")
 	}
 }
-
-func TestStatsCounting(t *testing.T) {
-	w, mem := testWorld(t, 16)
-	defer mem.Close()
-	tr, stats := WithStats(mem)
-	s := New(tr, Options{Workers: 4, Retries: 0, SettleDelay: NoSettle})
-	if _, err := s.Sweep(16, 5, w.ScanBlacklist()); err != nil {
-		t.Fatal(err)
-	}
-	snap := stats.Snapshot()
-	if snap.Sent == 0 || snap.Received == 0 {
-		t.Fatalf("counters empty: %+v", snap)
-	}
-	if snap.Received > snap.Sent {
-		t.Errorf("more responses than probes: %+v", snap)
-	}
-	if snap.BytesOut == 0 || snap.BytesIn == 0 {
-		t.Errorf("byte counters empty: %+v", snap)
-	}
-	if snap.ResponseRatio() <= 0 || snap.ResponseRatio() > 1 {
-		t.Errorf("response ratio = %f", snap.ResponseRatio())
-	}
-	if snap.String() == "" {
-		t.Error("empty snapshot string")
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"goingwild/internal/wildnet"
 )
@@ -222,5 +223,42 @@ func TestSweepResumeRejectsMismatch(t *testing.T) {
 		&ResumeControl{Prev: prev, Save: func(*SweepCheckpoint) error { return nil }})
 	if err == nil {
 		t.Fatal("shard-count mismatch accepted")
+	}
+}
+
+// TestSweepResumeStageDeadline pins that a checkpointed sweep spends
+// StageDeadline exactly as SweepContext does: the guard starts when the
+// retry phase begins, after the census has settled, so a deadline
+// shorter than one settle wait still lets the first retry round run.
+func TestSweepResumeStageDeadline(t *testing.T) {
+	const order = 14
+	cfg := wildnet.DefaultConfig(order)
+	cfg.Loss = 0.05
+	w, err := wildnet.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func() Options {
+		return Options{
+			SettleDelay:   50 * time.Millisecond,
+			StageDeadline: 40 * time.Millisecond,
+			SweepRetries:  1,
+			Clock:         newFakeClock(),
+		}
+	}
+	run := func(rc *ResumeControl) *SweepResult {
+		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
+		defer tr.Close()
+		res, err := New(tr, opts()).SweepResumeContext(context.Background(), order, 99, w.ScanBlacklist(), rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(nil)
+	got := run(&ResumeControl{Save: func(*SweepCheckpoint) error { return nil }})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("checkpointed sweep under StageDeadline diverged from SweepContext: %d vs %d responders",
+			got.Total(), want.Total())
 	}
 }

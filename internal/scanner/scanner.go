@@ -8,7 +8,13 @@
 //
 // The engine is transport-agnostic: the same code drives the in-memory
 // world (millions of probes per second) and real UDP sockets through the
-// loopback gateway.
+// loopback gateway. Every sweep — whole, one shard of a multi-process
+// split, or checkpointed — runs one loop (engine.go): Options.Shards
+// workers, each draining a private leapfrog slice of the LFSR
+// permutation into batched sends, round by round through the
+// retransmission rounds, with an optional checkpoint rendezvous.
+// Transports without wildnet.BatchSender are adapted by a per-probe
+// Send loop, so there is one dispatch path.
 //
 // Every scan entrypoint has a context-aware variant (SweepContext,
 // ScanDomainsContext, ...) that aborts between send batches, between
@@ -52,14 +58,19 @@ type Options struct {
 	// RatePPS caps the probe rate in packets per second; 0 disables
 	// rate limiting (useful against the in-memory transport).
 	RatePPS int
-	// Workers is the number of sender goroutines (default 8).
+	// Workers is the number of sender goroutines of the list scans
+	// (domain, CHAOS and alive re-probes) when Shards is 0 or 1
+	// (default 8). Sweeps do not read it: Shards is their only
+	// concurrency control.
 	Workers int
-	// Shards splits batch scans into that many leapfrog shards running
+	// Shards splits scans into that many leapfrog shards running
 	// concurrently: shard i of M owns every M-th slot of the target
 	// permutation (lfsr.ShardedGenerator) or every M-th index of a target
-	// list, with its own generator and retry state. Results are merged
-	// into one collector and stay byte-identical to an unsharded run.
-	// 0 or 1 means unsharded.
+	// list, with its own generator and retry budget share. Results are
+	// merged into one collector and stay byte-identical to an unsharded
+	// run. 0 or 1 means one shard: the sweep then runs a single sender on
+	// the calling goroutine. It is explicit rather than derived from
+	// GOMAXPROCS because RetryBudget splits per shard.
 	Shards int
 	// Retries is how many retransmission rounds cover unanswered
 	// probes (packet loss, §5). The zero value defaults to 1;
@@ -275,96 +286,10 @@ func (s *Scanner) sendAll(ctx context.Context, n int, send func(i int)) error {
 	return ctx.Err()
 }
 
-// streamBatch is how many targets a sender worker pulls from the shared
-// generator per lock acquisition. 256 keeps the generator lock at well
-// under 1% of each worker's time while bounding how far ahead of the
-// others any worker can run.
+// streamBatch is how many targets a sweep worker pulls from its
+// generator per batch, and so the largest SendBatch the sweep makes.
+// Cancellation and the checkpoint rendezvous are polled once per batch.
 const streamBatch = 256
-
-// streamAll drives one probe per generator target across the worker pool
-// without materializing the permutation (a full order-32 sweep would
-// otherwise stage 16 GiB of targets). Workers pull batches from the
-// generator under a shared lock; send receives each target plus a pooled
-// scratch buffer for query assembly (reslice it, leave the grown buffer
-// behind). Returns the number of targets sent.
-//
-// The set of probes sent is exactly the generator's permutation no matter
-// how batches interleave, so scan results stay schedule-independent. A
-// cancelled context stops each worker at its next batch boundary (at most
-// one in-flight batch of streamBatch targets per worker completes), and
-// streamAll returns the partial send count plus ctx.Err().
-//
-// Cancellation is polled via ctx.Err() once per batch — 1/256th of the
-// probe rate, synchronous with cancel() — and skipped entirely for the
-// non-cancellable contexts the ctx-less wrappers pass, preserving the
-// zero-overhead hot path.
-func (s *Scanner) streamAll(ctx context.Context, gen *lfsr.TargetGenerator, send func(u uint32, scratch *[]byte)) (uint64, error) {
-	cancellable := ctx.Done() != nil
-	workers := s.opts.Workers
-	if workers <= 1 {
-		return s.streamOne(ctx, gen, send)
-	}
-	var (
-		genMu sync.Mutex
-		total atomic.Uint64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := sweepBufPool.Get().(*[]byte)
-			defer sweepBufPool.Put(scratch)
-			var batch [streamBatch]uint32
-			for {
-				if cancellable && ctx.Err() != nil {
-					return
-				}
-				genMu.Lock()
-				n := gen.NextBatch(batch[:])
-				genMu.Unlock()
-				if n == 0 {
-					return
-				}
-				total.Add(uint64(n))
-				for _, u := range batch[:n] {
-					s.rate.wait(ctx)
-					send(u, scratch)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return total.Load(), ctx.Err()
-}
-
-// streamOne is streamAll's single-goroutine loop: one sender draining one
-// generator in permutation order. Shard workers call it directly (each
-// owns a private sharded generator, so no lock and no pool), which keeps
-// a shard's send order deterministic.
-func (s *Scanner) streamOne(ctx context.Context, gen *lfsr.TargetGenerator, send func(u uint32, scratch *[]byte)) (uint64, error) {
-	cancellable := ctx.Done() != nil
-	scratch := sweepBufPool.Get().(*[]byte)
-	defer sweepBufPool.Put(scratch)
-	var n uint64
-	for {
-		if cancellable && n%streamBatch == 0 && ctx.Err() != nil {
-			return n, ctx.Err()
-		}
-		u, ok := gen.NextU32()
-		if !ok {
-			return n, ctx.Err()
-		}
-		s.rate.wait(ctx)
-		send(u, scratch)
-		n++
-	}
-}
-
-// sweepBufPool recycles probe assembly buffers. It lives at package scope
-// so the pool carries warm buffers across scans instead of draining when
-// each Sweep call returns.
-var sweepBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
 
 // settle waits for late responses on asynchronous transports. A negative
 // SettleDelay (synchronous transport) skips the wait. A dead context

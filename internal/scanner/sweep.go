@@ -2,15 +2,14 @@ package scanner
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
-	"goingwild/internal/wildnet"
 )
 
 // Responder is one host that answered the Internet-wide sweep.
@@ -77,13 +76,6 @@ func (r *SweepResult) MisSourcedCount() int {
 	return n
 }
 
-// cachePrefix derives the per-target random label that defeats caching
-// (§2.2), written into a fixed-size array so the send path never converts
-// through a string.
-//
-//lint:hotpath per-probe / per-response sweep path
-func cachePrefix(u uint32) [5]byte { return cachePrefixN(u, 0) }
-
 // cachePrefixN salts the anti-caching label with the retry attempt:
 // attempt 0 is byte-identical to the original census probe, while each
 // retransmission round carries a fresh label — a genuinely new packet
@@ -147,8 +139,15 @@ func (s *Scanner) Sweep(order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResu
 // LFSR-permuted order, skipping the blacklist. Each probe is a DNS A
 // query for prefix.hex-ip.scanbase, so responses are attributed to the
 // probed target regardless of their source address. Targets stream from
-// the generator straight to the sender workers — the permutation is
-// never materialized.
+// Options.Shards leapfrog generators straight into batched sends — the
+// permutation is never materialized — and Options.SweepRetries rounds
+// re-probe the silent targets (see the engine in engine.go).
+//
+// A census sends exactly one probe per target: retransmitting to the
+// silent majority (non-resolvers) would double the scan for a
+// fraction-of-a-percent gain. Loss is accounted for by the
+// secondary-vantage verification scan instead (§2.2). Transports must
+// not retain payloads after Send/SendBatch returns.
 //
 // Cancellation is honored between send batches and during the settle
 // wait. A cancelled sweep returns ctx.Err() together with a consistent
@@ -156,82 +155,8 @@ func (s *Scanner) Sweep(order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResu
 // sorted, and counted, so callers that tolerate partial censuses (e.g. a
 // checkpointing orchestrator) can keep it.
 func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResult, error) {
-	if s.tr == nil {
-		return nil, ErrNoTransport
-	}
-	hint := int(uint64(1) << order / 64)
-	st := newSweepCollector(domains.ScanBase, hint)
-	st.recv = s.m.sweepRecv
-	s.tr.SetReceiver(st.receive)
-	baseWire, err := dnswire.EncodeNameWire(st.base)
-	if err != nil {
-		return nil, err
-	}
-
-	var probed uint64
-	var scanErr error
-	if m := s.opts.Shards; m > 1 {
-		probed, scanErr = s.sweepSharded(ctx, order, seed, bl, baseWire, st, m)
-	} else {
-		probed, scanErr = s.sweepSingle(ctx, order, seed, bl, baseWire, st)
-	}
-	return s.collectSweep(st, probed), scanErr
-}
-
-// sweepSingle is the unsharded sweep body: one shared generator drained
-// by the worker pool, then the settle barrier and retry rounds.
-//
-// A census sends exactly one probe per target: retransmitting to the
-// silent majority (non-resolvers) would double the scan for a
-// fraction-of-a-percent gain. Loss is accounted for by the
-// secondary-vantage verification scan instead (§2.2).
-//
-// Probe construction is the hot path: queries are written label by label
-// into pooled buffers without a name or Message allocation, and batched
-// into one SendBatch per generator pull when the transport supports it.
-// Transports must not retain payloads after Send/SendBatch returns.
-func (s *Scanner) sweepSingle(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, baseWire []byte, st *sweepCollector) (uint64, error) {
-	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
-	if err != nil {
-		return 0, err
-	}
-	var probed uint64
-	var scanErr error
-	if bs, ok := s.tr.(wildnet.BatchSender); ok {
-		probed, scanErr = s.streamAllBatched(ctx, gen, bs, censusBuild(baseWire), nil,
-			func(n int) { s.m.sweepSent.Add(uint64(n)) })
-	} else {
-		probed, scanErr = s.streamAll(ctx, gen, s.censusSend(ctx, baseWire))
-	}
-	if settleErr := s.settle(ctx); scanErr == nil {
-		scanErr = settleErr
-	}
-	if scanErr == nil && s.opts.SweepRetries > 0 {
-		newGen := func() (*lfsr.TargetGenerator, error) { return lfsr.NewTargetGenerator(order, seed, bl) }
-		scanErr = s.sweepRetryRounds(ctx, newGen, baseWire, st, s.opts.RetryBudget, false)
-	}
-	return probed, scanErr
-}
-
-// censusBuild returns the batched payload builder for census probes —
-// byte-identical to the per-probe path's query, appended into the batch
-// arena instead of a scratch buffer.
-func censusBuild(baseWire []byte) func(u uint32, buf []byte) []byte {
-	return templateBuild(baseWire, 0)
-}
-
-// censusSend returns the per-probe census sender for transports without
-// batch support.
-func (s *Scanner) censusSend(ctx context.Context, baseWire []byte) func(u uint32, scratch *[]byte) {
-	return func(u uint32, scratch *[]byte) {
-		prefix := cachePrefix(u)
-		wire := dnswire.AppendTargetQuery((*scratch)[:0], uint16(u)^uint16(u>>16),
-			prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-		s.m.sweepSent.Inc()
-		//lint:allow errdrop sweep send failures are modeled packet loss
-		s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, wire)
-		*scratch = wire[:0]
-	}
+	m := s.opts.Shards
+	return s.sweep(ctx, sweepPlan{order: order, seed: seed, bl: bl, n: m, of: m})
 }
 
 // collectSweep freezes the collector into the sorted result.
@@ -239,87 +164,23 @@ func (s *Scanner) collectSweep(st *sweepCollector, probed uint64) *SweepResult {
 	res := &SweepResult{
 		Probed:     probed,
 		ByRCode:    make(map[dnswire.RCode]int),
-		Responders: make([]Responder, 0, st.responses.Len()),
+		Responders: sortedResponders(st),
 	}
-	st.responses.Collect(func(_ uint32, r Responder) {
-		res.Responders = append(res.Responders, r)
+	for _, r := range res.Responders {
 		res.ByRCode[r.RCode]++
-	})
-	// Shard maps iterate in unspecified order; sort so the responder list
-	// (and everything derived from it, e.g. NOERROR ordering) is
-	// reproducible.
-	sort.Slice(res.Responders, func(i, j int) bool {
-		return res.Responders[i].Addr < res.Responders[j].Addr
-	})
+	}
 	return res
 }
 
-// sweepSharded runs the sweep as m concurrent shard workers. Shard i owns
-// every m-th slot of the target permutation (lfsr.ShardedGenerator), with
-// its own generator, settle barrier, and retry state; all shards insert
-// into the one shared collector, which is safe and order-independent
-// because their target sets are disjoint and first-response-wins is
-// per-target. Every probe a shard sends is bit-identical to the probe the
-// unsharded sweep sends to the same target (same ports, same payload), so
-// the modeled per-packet loss draws — and therefore the responder set —
-// cannot depend on m.
-//
-// The retransmission budget is split across shards (shardBudget), which
-// is the one place a bound budget can pick different retransmission
-// targets than an unsharded run; an unlimited budget (the default) is
-// exactly equivalent.
-func (s *Scanner) sweepSharded(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, baseWire []byte, st *sweepCollector, m int) (uint64, error) {
-	if bl != nil {
-		// The shard workers read the blacklist concurrently; the lazy
-		// sort-and-merge must happen before they start.
-		bl.Freeze()
-	}
-	bs, batched := s.tr.(wildnet.BatchSender)
-	build := censusBuild(baseWire)
-	sents := make([]uint64, m)
-	errs := make([]error, m)
-	var wg sync.WaitGroup
-	for i := 0; i < m; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			gen, err := lfsr.ShardedGenerator(order, seed, bl, i, m)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var sent uint64
-			if batched {
-				sent, err = s.batchWorker(ctx, gen, nil, bs, build, nil,
-					func(n int) { s.m.sweepSent.Add(uint64(n)) })
-			} else {
-				sent, err = s.streamOne(ctx, gen, s.censusSend(ctx, baseWire))
-			}
-			sents[i] = sent
-			if settleErr := s.settle(ctx); err == nil {
-				err = settleErr
-			}
-			if err == nil && s.opts.SweepRetries > 0 {
-				newGen := func() (*lfsr.TargetGenerator, error) {
-					return lfsr.ShardedGenerator(order, seed, bl, i, m)
-				}
-				err = s.sweepRetryRounds(ctx, newGen, baseWire, st, shardBudget(s.opts.RetryBudget, i, m), true)
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	var probed uint64
-	for _, n := range sents {
-		probed += n
-	}
-	s.publishShardGauges(order, seed, bl, st, m, sents)
-	for _, e := range errs {
-		if e != nil {
-			return probed, e
-		}
-	}
-	return probed, nil
+// sortedResponders copies the collector out in address order. Shard maps
+// iterate in unspecified order; sorting makes the responder list (and
+// everything derived from it, e.g. NOERROR ordering, or a checkpoint's
+// collector snapshot) reproducible.
+func sortedResponders(st *sweepCollector) []Responder {
+	out := make([]Responder, 0, st.responses.Len())
+	st.responses.Collect(func(_ uint32, r Responder) { out = append(out, r) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
 }
 
 // shardBudget splits a retransmission budget across m shards: shard i
@@ -379,154 +240,15 @@ func (s *Scanner) SweepShard(order uint, seed uint32, bl *lfsr.Blacklist, shard,
 // targets lfsr.ShardedGenerator(order, seed, bl, shard, of) yields, i.e.
 // every of-th slot of the full permutation. Separate processes can each
 // run one shard (goingwild -shard i/M) and cmd/wildmerge recombines the
-// per-shard results into the unsharded report. The worker pool, retry
-// rounds (with this shard's budget share), and batching all apply within
-// the shard; the result holds only this shard's probes and responders.
+// per-shard results into the unsharded report. It is the engine with one
+// worker owning that shard, so retry rounds (with this shard's budget
+// share) and batching apply within the shard; the result holds only this
+// shard's probes and responders.
 func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
-	if s.tr == nil {
-		return nil, ErrNoTransport
+	if shard < 0 || shard >= of {
+		return nil, fmt.Errorf("scanner: shard %d/%d out of range", shard, of)
 	}
-	gen, err := lfsr.ShardedGenerator(order, seed, bl, shard, of)
-	if err != nil {
-		return nil, err
-	}
-	hint := int(uint64(1) << order / 64 / uint64(of))
-	st := newSweepCollector(domains.ScanBase, hint)
-	st.recv = s.m.sweepRecv
-	s.tr.SetReceiver(st.receive)
-	baseWire, err := dnswire.EncodeNameWire(st.base)
-	if err != nil {
-		return nil, err
-	}
-	var probed uint64
-	var scanErr error
-	if bs, ok := s.tr.(wildnet.BatchSender); ok {
-		probed, scanErr = s.streamAllBatched(ctx, gen, bs, censusBuild(baseWire), nil,
-			func(n int) { s.m.sweepSent.Add(uint64(n)) })
-	} else {
-		probed, scanErr = s.streamAll(ctx, gen, s.censusSend(ctx, baseWire))
-	}
-	if settleErr := s.settle(ctx); scanErr == nil {
-		scanErr = settleErr
-	}
-	if scanErr == nil && s.opts.SweepRetries > 0 {
-		newGen := func() (*lfsr.TargetGenerator, error) {
-			return lfsr.ShardedGenerator(order, seed, bl, shard, of)
-		}
-		scanErr = s.sweepRetryRounds(ctx, newGen, baseWire, st, shardBudget(s.opts.RetryBudget, shard, of), false)
-	}
-	return s.collectSweep(st, probed), scanErr
-}
-
-// sweepRetryRounds retransmits toward the sweep's non-responders
-// (Options.SweepRetries rounds), honoring the backoff schedule, the
-// retransmission budget, and the stage deadline. Each round walks the
-// generator newGen rebuilds (the full permutation, or one shard of it)
-// and re-probes only still-silent targets with an attempt-salted
-// anti-caching prefix, so every retransmission is a new packet with a
-// fresh loss draw. The answered set at each round's start is fixed by
-// the settle barrier — and, under sharding, by shard-disjoint target
-// ownership — so the retransmitted target set is schedule-independent;
-// Probed stays the census count (retries are recovery traffic, not
-// coverage).
-//
-// budget is this caller's retransmission allowance (the whole
-// Options.RetryBudget, or one shard's share); shardWorker marks a caller
-// that is already one goroutine of a shard pool, which must not spawn a
-// nested worker pool over its private generator.
-func (s *Scanner) sweepRetryRounds(ctx context.Context, newGen func() (*lfsr.TargetGenerator, error), baseWire []byte, st *sweepCollector, budget int, shardWorker bool) error {
-	guard := s.newDeadlineGuard()
-	budgeted := s.opts.RetryBudget > 0
-	bs, batched := s.tr.(wildnet.BatchSender)
-	miss := func(u uint32) bool {
-		_, answered := st.responses.Get(u)
-		return !answered
-	}
-	for attempt := 1; attempt <= s.opts.SweepRetries; attempt++ {
-		// Checkpoint between retry rounds.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if guard.expired() {
-			return nil
-		}
-		if budgeted && budget <= 0 {
-			return nil
-		}
-		if err := s.backoffWait(ctx, attempt); err != nil {
-			return err
-		}
-		gen, err := newGen()
-		if err != nil {
-			return err
-		}
-		s.m.retryRounds.Inc()
-		resend := func(u uint32, scratch *[]byte) {
-			if !miss(u) {
-				return
-			}
-			prefix := cachePrefixN(u, attempt)
-			wire := dnswire.AppendTargetQuery((*scratch)[:0], uint16(u)^uint16(u>>16),
-				prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-			s.m.sweepSent.Inc()
-			s.m.retrySpend.Inc()
-			//lint:allow errdrop sweep retransmission failures are modeled packet loss
-			s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, wire)
-			*scratch = wire[:0]
-		}
-		switch {
-		case budgeted:
-			// A bound budget needs a deterministic target set: materialize
-			// the first `budget` misses in permutation order, then send
-			// serially (the budgeted path is small by construction).
-			targets := make([]uint32, 0, budget)
-			for len(targets) < budget {
-				u, ok := gen.NextU32()
-				if !ok {
-					break
-				}
-				if miss(u) {
-					targets = append(targets, u)
-				}
-			}
-			budget -= len(targets)
-			scratch := sweepBufPool.Get().(*[]byte)
-			cancellable := ctx.Done() != nil
-			for i, u := range targets {
-				if cancellable && i%streamBatch == 0 && ctx.Err() != nil {
-					break
-				}
-				s.rate.wait(ctx)
-				resend(u, scratch)
-			}
-			sweepBufPool.Put(scratch)
-		case batched:
-			build := templateBuild(baseWire, attempt)
-			onFlush := func(n int) {
-				s.m.sweepSent.Add(uint64(n))
-				s.m.retrySpend.Add(uint64(n))
-			}
-			if shardWorker {
-				if _, err := s.batchWorker(ctx, gen, nil, bs, build, miss, onFlush); err != nil {
-					return err
-				}
-			} else if _, err := s.streamAllBatched(ctx, gen, bs, build, miss, onFlush); err != nil {
-				return err
-			}
-		case shardWorker:
-			if _, err := s.streamOne(ctx, gen, resend); err != nil {
-				return err
-			}
-		default:
-			if _, err := s.streamAll(ctx, gen, resend); err != nil {
-				return err
-			}
-		}
-		if err := s.settle(ctx); err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
+	return s.sweep(ctx, sweepPlan{order: order, seed: seed, bl: bl, first: shard, n: 1, of: of})
 }
 
 // Probe sends a single query toward one resolver; it is the ctx-less
