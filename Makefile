@@ -35,9 +35,11 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detector pass over the concurrent subsystems (the stress tests in
-# scanner and wildnet exist for this target).
+# scanner and wildnet exist for this target), plus the weekly-series
+# engine's producer/queue/apply goroutines in core and churn.
 race:
-	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/authdns ./internal/pipeline ./internal/metrics ./internal/resolvesvc ./internal/debughttp .
+	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/authdns ./internal/pipeline ./internal/metrics ./internal/resolvesvc ./internal/debughttp ./internal/churn .
+	$(GO) test -race -run 'Stream|Resume|Golden' ./internal/core
 
 # Chaos matrix: the full pipeline under every fault profile (clean,
 # lossy, hostile, flaky), checking determinism across runs and
@@ -69,16 +71,17 @@ metrics-smoke:
 	/tmp/dnsscan_metrics -order 14 -metrics /tmp/ds_metrics.json > /dev/null
 	test "$$(awk '/"name": "transport.batch.size"/ {h=1} h && /^      "count": / {print $$2+0; exit}' /tmp/ds_metrics.json)" -gt 0
 
-# Streaming epoch guard: the weekly series run incrementally via
-# -epochs (per-week delta batches applied live) must print stdout
-# byte-identical to the batch -weeks run. This is the executable form
-# of the contract that streaming changes when results appear, never
-# what they are.
+# Streaming epoch guard: the weekly series (per-week delta batches
+# applied live) must print the committed golden stdout, captured when a
+# separate batch series path still existed and agreed with the stream —
+# on a repeat run, and with -progress streaming live per-epoch churn to
+# stderr. Streaming changes when results appear, never what they are.
 stream-smoke:
 	$(GO) build -o /tmp/wildreport_stream ./cmd/wildreport
-	/tmp/wildreport_stream -order 16 -weeks 6 -week 5 > /tmp/wr_batch.txt
-	/tmp/wildreport_stream -order 16 -epochs 6 -week 5 -progress > /tmp/wr_stream.txt 2>/dev/null
-	diff /tmp/wr_batch.txt /tmp/wr_stream.txt
+	/tmp/wildreport_stream -order 16 -weeks 8 -week 7 > /tmp/wr_stream.txt
+	diff cmd/wildreport/testdata/order16_weeks8_week7.golden /tmp/wr_stream.txt
+	/tmp/wildreport_stream -order 16 -weeks 8 -week 7 -progress > /tmp/wr_stream_p.txt 2>/dev/null
+	diff cmd/wildreport/testdata/order16_weeks8_week7.golden /tmp/wr_stream_p.txt
 
 # Service smoke: run wildsvc's built-in self-check — three epochs at
 # order 16, then query the HTTP API for a known responder and a known

@@ -5,6 +5,7 @@
 package goingwild
 
 import (
+	"context"
 	"testing"
 
 	"goingwild/internal/cluster"
@@ -28,7 +29,7 @@ func TestAblationCertRule(t *testing.T) {
 	}
 	defer s.Close()
 	s.SetWeek(50)
-	sweep, err := s.SweepAt(50)
+	sweep, err := s.SweepAtContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func TestAblationCertRule(t *testing.T) {
 	for _, d := range domains.ByCategory(domains.Alexa) {
 		names = append(names, d.Name)
 	}
-	scan, err := s.Scanner.ScanDomains(resolvers, names)
+	scan, err := s.Scanner.ScanDomainsContext(context.Background(), resolvers, names)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	full := prefilter.Run(scan, s.PrefilterEnv())
-	ablated := s.PrefilterEnv()
+	full := prefilter.Run(scan, s.PrefilterEnv(context.Background()))
+	ablated := s.PrefilterEnv(context.Background())
 	ablated.CertProbe = func(uint32, string, bool) (prefilter.Cert, bool) {
 		return prefilter.Cert{}, false
 	}
@@ -65,12 +66,12 @@ func TestAblation0x20(t *testing.T) {
 	}
 	defer s.Close()
 	s.SetWeek(50)
-	sweep, err := s.SweepAt(50)
+	sweep, err := s.SweepAtContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	scan, err := s.Scanner.ScanDomains(resolvers, []string{"thepiratebay.se", "chase.com"})
+	scan, err := s.Scanner.ScanDomainsContext(context.Background(), resolvers, []string{"thepiratebay.se", "chase.com"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +164,15 @@ func BenchmarkAblationPrefilterNoCache(b *testing.B) {
 	}
 	defer s.Close()
 	s.SetWeek(50)
-	sweep, err := s.SweepAt(50)
+	sweep, err := s.SweepAtContext(context.Background(), 50)
 	if err != nil {
 		b.Fatal(err)
 	}
-	scan, err := s.Scanner.ScanDomains(sweep.NOERROR(), []string{"chase.com", "facebook.com"})
+	scan, err := s.Scanner.ScanDomainsContext(context.Background(), sweep.NOERROR(), []string{"chase.com", "facebook.com"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := s.PrefilterEnv()
+	env := s.PrefilterEnv(context.Background())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := prefilter.Run(scan, env)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -103,7 +104,7 @@ func benchSweep(order uint) (sweepBench, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := s.Scanner.Sweep(order, uint32(i+1), s.World.ScanBlacklist())
+			res, err := s.Scanner.SweepContext(context.Background(), order, uint32(i+1), s.World.ScanBlacklist())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +133,7 @@ func benchScanner(s *core.Study, tr scanner.Transport, order uint, shards int) (
 	var probed uint64
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sc.Sweep(order, uint32(i+1), s.World.ScanBlacklist())
+			res, err := sc.SweepContext(context.Background(), order, uint32(i+1), s.World.ScanBlacklist())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,7 +196,7 @@ func benchEpochStream(order uint, weeks int) (epochBench, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			records = 0
-			if _, err := s.RunWeeklySeriesStream(func(v core.EpochView) {
+			if _, err := s.RunWeeklySeriesStreamContext(context.Background(), func(v core.EpochView) {
 				records += len(v.Delta.Deltas)
 			}); err != nil {
 				b.Fatal(err)

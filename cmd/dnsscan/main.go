@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"goingwild/internal/checkpoint"
+	"goingwild/internal/churn"
 	"goingwild/internal/debughttp"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
@@ -106,7 +107,7 @@ func main() {
 	}
 
 	var tr scanner.Transport
-	var setWeek func(int)
+	var clock churn.Clock
 	settle := scanner.NoSettle
 	if *useUDP {
 		gw, err := wildnet.StartGateway(world, wildnet.VantagePrimary)
@@ -120,7 +121,7 @@ func main() {
 			fatal(err)
 		}
 		tr = udp
-		setWeek = func(w int) { gw.SetTime(wildnet.At(w)) }
+		clock = gw
 		settle = 200 * time.Millisecond
 		if *rate == 0 {
 			// Loopback sockets drop bursts beyond the buffer; pace
@@ -132,7 +133,7 @@ func main() {
 		mem := wildnet.NewMemTransport(world, wildnet.VantagePrimary)
 		mem.SetTime(wildnet.At(*week))
 		tr = mem
-		setWeek = func(w int) { mem.SetTime(wildnet.At(w)) }
+		clock = mem
 	}
 	defer tr.Close()
 
@@ -174,29 +175,33 @@ func main() {
 	defer func() { fmt.Println(trafficLine(reg.Snapshot(), time.Since(start))) }()
 	var sweep *scanner.SweepResult
 	if *epochs > 0 {
-		// Epoch-streaming mode: one weekly sweep per epoch, expressed as
-		// delta batches and replayed into a running snapshot — the same
-		// diff/apply layer the streaming study engine rides on. Per-epoch
-		// lines go to stderr; the summary below reflects the replayed
-		// final snapshot, which must equal the last sweep exactly.
-		var snapshot, prev []scanner.Responder
+		// Epoch-streaming mode: the weekly producer of the study's series
+		// engine (churn.StreamWeekly) runs one sweep per epoch and hands
+		// it over as a delta batch, which is replayed into a running
+		// snapshot. Per-epoch lines go to stderr; the summary below
+		// reflects the replayed final snapshot, which must equal the last
+		// sweep exactly.
+		var snapshot []scanner.Responder
 		var probed uint64
 		var records int
-		for epoch := 0; epoch < *epochs; epoch++ {
-			setWeek(epoch)
-			res, err := sc.SweepContext(ctx, *order, uint32(*scanSeed)+uint32(epoch), world.ScanBlacklist())
-			if err != nil {
-				fatal(err)
+		err := churn.StreamWeekly(ctx, sc, clock, churn.StudyConfig{
+			Order:     *order,
+			Seed:      uint32(*scanSeed),
+			Weeks:     *epochs,
+			Blacklist: world.ScanBlacklist(),
+		}, func(_ context.Context, d churn.EpochDelta) error {
+			var err error
+			if snapshot, err = scanner.ApplyResponderDeltas(snapshot, d.Deltas); err != nil {
+				return err
 			}
-			deltas := scanner.DiffSweepResponders(prev, res.Responders)
-			snapshot, err = scanner.ApplyResponderDeltas(snapshot, deltas)
-			if err != nil {
-				fatal(err)
-			}
-			prev, probed = res.Responders, res.Probed
-			records += len(deltas)
+			probed = d.Probed
+			records += len(d.Deltas)
 			fmt.Fprintf(os.Stderr, "dnsscan: epoch %d: %d delta records, %d responders\n",
-				epoch, len(deltas), len(snapshot))
+				d.Week, len(d.Deltas), len(snapshot))
+			return nil
+		})
+		if err != nil {
+			fatal(err)
 		}
 		sweep = scanner.SnapshotSweep(probed, snapshot)
 		elapsed := time.Since(start)

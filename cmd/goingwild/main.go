@@ -5,7 +5,7 @@
 //
 //	goingwild -order 18 -exp all
 //	goingwild -order 20 -exp fig1,table3,table5 -weeks 55
-//	goingwild -order 20 -exp all -progress
+//	goingwild -order 20 -exp all -progress                  # stage events and live per-epoch churn on stderr
 //	goingwild -order 20 -exp all -checkpoint run.ckpt   # crash-safe
 //	goingwild -order 20 -exp all -checkpoint run.ckpt -resume
 //
@@ -48,7 +48,6 @@ func main() {
 		order       = flag.Uint("order", 18, "address-space width in bits (14–32)")
 		seed        = flag.Uint64("seed", 0x60176A11D, "world seed")
 		weeks       = flag.Int("weeks", 12, "weekly scans for the longitudinal study")
-		epochs      = flag.Int("epochs", 0, "stream the weekly series incrementally as N weekly epochs (implies -weeks N; 0 = batch); stdout is byte-identical either way")
 		exps        = flag.String("exp", "all", "comma-separated experiments: census,fig1,table1,table2,table3,table4,fig2,util,verify,domains,fig4,cases,pipeline,amp,dnssec,popularity")
 		week        = flag.Int("week", 50, "study week for the point-in-time experiments")
 		export      = flag.String("export", "", "directory to export JSONL datasets into")
@@ -81,8 +80,8 @@ func main() {
 
 	// The fingerprint covers every flag that shapes stdout, so a resume
 	// under different flags is refused instead of splicing two studies.
-	fingerprint := fmt.Sprintf("goingwild order=%d seed=%#x weeks=%d epochs=%d exp=%s week=%d chaos=%s shards=%d export=%s",
-		*order, *seed, *weeks, *epochs, *exps, *week, *chaos, *shards, *export)
+	fingerprint := fmt.Sprintf("goingwild order=%d seed=%#x weeks=%d exp=%s week=%d chaos=%s shards=%d export=%s",
+		*order, *seed, *weeks, *exps, *week, *chaos, *shards, *export)
 	var runner *checkpoint.Runner
 	var ctx context.Context
 	if *ckptDir != "" {
@@ -116,10 +115,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Weeks = *weeks
-	if *epochs > 0 {
-		cfg.Weeks = *epochs
-		*weeks = *epochs
-	}
 	cfg.Shards = *shards
 	// Metrics are a pure side channel: stdout is byte-identical with and
 	// without a registry attached.
@@ -181,10 +176,11 @@ func main() {
 	run := sectioned(runner, study)
 
 	// The weekly series is shared by fig1/table1/table2 and computed once,
-	// lazily, inside the first section that needs it. Under -checkpoint it
-	// runs through the resumable epoch stream (byte-identical to the batch
-	// path); a resume whose cursor already covers every week replays the
-	// checkpointed tracker without scanning at all.
+	// lazily, inside the first section that needs it, as an epoch stream
+	// (-progress prints each epoch's churn to stderr). Under -checkpoint
+	// the stream commits every epoch to the run's store; a resume whose
+	// cursor already covers every week replays the checkpointed tracker
+	// without scanning at all.
 	var series *churn.Series
 	getSeries := func() (*churn.Series, error) {
 		if series != nil {
@@ -197,13 +193,12 @@ func main() {
 			}
 		}
 		var err error
-		switch {
-		case runner != nil:
+		// A nil *checkpoint.Runner in the SeriesStore interface would not
+		// compare equal to nil, hence the explicit branch.
+		if runner != nil {
 			series, err = study.RunWeeklySeriesResumeContext(ctx, runner, live)
-		case *epochs > 0:
+		} else {
 			series, err = study.RunWeeklySeriesStreamContext(ctx, live)
-		default:
-			series, err = study.RunWeeklySeriesContext(ctx)
 		}
 		return series, err
 	}
@@ -360,7 +355,11 @@ func main() {
 	}
 	if all || want["netalyzr"] {
 		if err := run("netalyzr", func(w io.Writer) error {
-			fmt.Fprintln(w, analysis.RenderNetalyzr(study.RunNetalyzr(*week, 500)))
+			st, err := study.RunNetalyzr(ctx, *week, 500)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, analysis.RenderNetalyzr(st))
 			return nil
 		}); err != nil {
 			fail(err)

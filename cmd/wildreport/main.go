@@ -6,9 +6,8 @@
 //
 //	wildreport -order 18 -weeks 55            # full run, text output
 //	wildreport -order 18 -markdown            # markdown comparison table
-//	wildreport -order 20 -progress            # stage events on stderr
+//	wildreport -order 20 -progress            # stage events and live per-epoch churn on stderr
 //	wildreport -order 16 -chaos hostile       # run under injected faults
-//	wildreport -order 16 -epochs 8 -progress  # stream the weekly series, live churn on stderr
 //	wildreport -order 20 -checkpoint run.ckpt # crash-safe; resume with -resume
 //
 // With -checkpoint, every completed report section is journaled and the
@@ -44,7 +43,6 @@ func main() {
 		order       = flag.Uint("order", 18, "address-space width in bits")
 		seed        = flag.Uint64("seed", 0x60176A11D, "world seed")
 		weeks       = flag.Int("weeks", 55, "weekly scans")
-		epochs      = flag.Int("epochs", 0, "stream the weekly series incrementally as N weekly epochs (implies -weeks N; 0 = batch); stdout is byte-identical either way")
 		week        = flag.Int("week", 50, "week for point-in-time experiments")
 		markdown    = flag.Bool("markdown", false, "emit the markdown comparison table only")
 		progress    = flag.Bool("progress", false, "print per-stage pipeline events to stderr")
@@ -67,8 +65,8 @@ func main() {
 		fatal(fmt.Errorf("-checkpoint and -markdown are mutually exclusive"))
 	}
 
-	fingerprint := fmt.Sprintf("wildreport order=%d seed=%#x weeks=%d epochs=%d week=%d chaos=%s shards=%d",
-		*order, *seed, *weeks, *epochs, *week, *chaosProf, *shards)
+	fingerprint := fmt.Sprintf("wildreport order=%d seed=%#x weeks=%d week=%d chaos=%s shards=%d",
+		*order, *seed, *weeks, *week, *chaosProf, *shards)
 	var runner *checkpoint.Runner
 	var ctx context.Context
 	if *ckptDir != "" {
@@ -102,10 +100,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Weeks = *weeks
-	if *epochs > 0 {
-		cfg.Weeks = *epochs
-		*weeks = *epochs
-	}
 	cfg.Shards = *shards
 	// Metrics are a pure side channel: stdout is byte-identical with and
 	// without a registry attached, so observability costs reproducibility
@@ -152,8 +146,9 @@ func main() {
 	}
 	scale := analysis.Scale(study.World.ScaleFactor())
 
-	// The weekly series: batch or streamed without -checkpoint (stdout is
-	// byte-identical either way), resumable epoch stream with it.
+	// The weekly series runs as an epoch stream (-progress prints each
+	// epoch's churn to stderr); under -checkpoint every epoch commits to
+	// the run's store.
 	runSeries := func() (*churn.Series, error) {
 		var live func(core.EpochView)
 		if *progress {
@@ -161,14 +156,12 @@ func main() {
 				fmt.Fprint(os.Stderr, analysis.RenderEpochDelta(v.Obs, v.Delta, scale, v.Lag))
 			}
 		}
-		switch {
-		case runner != nil:
+		// A nil *checkpoint.Runner in the SeriesStore interface would not
+		// compare equal to nil, hence the explicit branch.
+		if runner != nil {
 			return study.RunWeeklySeriesResumeContext(ctx, runner, live)
-		case *epochs > 0:
-			return study.RunWeeklySeriesStreamContext(ctx, live)
-		default:
-			return study.RunWeeklySeriesContext(ctx)
 		}
+		return study.RunWeeklySeriesStreamContext(ctx, live)
 	}
 
 	if *markdown {
@@ -321,7 +314,11 @@ func main() {
 			return nil
 		}},
 		{"netalyzr", func(w io.Writer) error {
-			fmt.Fprintln(w, analysis.RenderNetalyzr(study.RunNetalyzr(*week, 400)))
+			st, err := study.RunNetalyzr(ctx, *week, 400)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, analysis.RenderNetalyzr(st))
 			return nil
 		}},
 		{"degraded", func(w io.Writer) error {

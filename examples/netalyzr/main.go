@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -21,8 +22,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
-
-	s := study.RunNetalyzr(50, 1200)
+	s, err := study.RunNetalyzr(context.Background(), 50, 1200)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(analysis.RenderNetalyzr(s))
 
 	// Where do the monetizing ISPs sit?

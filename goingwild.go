@@ -4,13 +4,16 @@
 // Resolvers" (Kührer, Hupperich, Bushart, Rossow, Holz; IMC 2015),
 // running against a deterministic virtual IPv4 Internet.
 //
-// The typical entry point is a Study:
+// The typical entry point is a Study. Every scan and study method takes
+// the caller's context first, so a cancelled context stops a run at its
+// next send batch:
 //
 //	study, err := goingwild.NewStudy(goingwild.DefaultConfig(20))
 //	if err != nil { ... }
 //	defer study.Close()
-//	series, err := study.RunWeeklySeries()            // Figure 1, Tables 1–2
-//	result, err := study.RunDomainStudy(50, nil)      // the Figure-3 chain
+//	ctx := context.Background()
+//	series, err := study.RunWeeklySeriesStreamContext(ctx, nil) // Figure 1, Tables 1–2
+//	result, err := study.RunDomainStudyContext(ctx, 50, nil)    // the Figure-3 chain
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.

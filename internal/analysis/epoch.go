@@ -14,8 +14,8 @@ import (
 // a live churn update: the delta composition (adds, removes, rcode or
 // source flips) followed by the week's running Figure-1 line and the
 // top country movements. It is the per-epoch view the binaries print to
-// stderr under -epochs -progress; the final tables on stdout stay the
-// batch renderings, byte for byte.
+// stderr under -progress; the final tables on stdout are rendered from
+// the finished series, unaffected by it.
 func RenderEpochDelta(obs *churn.WeekObservation, d churn.EpochDelta, scale Scale, lag int) string {
 	var adds, updates, removes int
 	for _, dl := range d.Deltas {

@@ -65,7 +65,10 @@ type StudyConfig struct {
 }
 
 // RunWeekly performs cfg.Weeks weekly scans, advancing the clock before
-// each. Cancellation checkpoints sit between weeks; a cancelled run
+// each, and aggregates each full sweep directly into the Series. It is
+// the independent batch reference the tests hold Tracker and
+// StreamWeekly against; the study itself always streams (core's series
+// engine). Cancellation checkpoints sit between weeks; a cancelled run
 // returns the weeks measured so far together with ctx.Err().
 func RunWeekly(ctx context.Context, sc *scanner.Scanner, clock Clock, loc Locator, cfg StudyConfig) (*Series, error) {
 	retain := map[int]bool{}
@@ -229,8 +232,8 @@ func (c *CohortStudy) ConcentrateSurvivors(asOf func(u uint32) uint32) {
 // RunCohort probes the cohort weekly for `weeks` weeks and measures the
 // day-1 churn plus the rDNS token analysis, resolving PTR records through
 // the trusted resolver at trustedDNS. Cancellation checkpoints sit
-// between weekly rounds; a cancelled run returns the partially filled
-// study together with ctx.Err().
+// between rDNS lookups and between weekly rounds; a cancelled run
+// returns the partially filled study together with ctx.Err().
 func RunCohort(ctx context.Context, sc *scanner.Scanner, clock Clock, cohort []uint32, weeks int, trustedDNS uint32) (*CohortStudy, error) {
 	study := &CohortStudy{Cohort: cohort, SurvivalByWeek: make([]float64, weeks+1)}
 	study.SurvivalByWeek[0] = 1.0
@@ -250,7 +253,10 @@ func RunCohort(ctx context.Context, sc *scanner.Scanner, clock Clock, cohort []u
 		if aliveDay1[u] {
 			continue
 		}
-		name, ok := sc.LookupPTR(trustedDNS, u)
+		if err := ctx.Err(); err != nil {
+			return study, err
+		}
+		name, ok := sc.LookupPTR(ctx, trustedDNS, u)
 		if !ok {
 			continue
 		}

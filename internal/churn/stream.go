@@ -21,11 +21,11 @@ type EpochDelta struct {
 	Deltas []scanner.ResponderDelta
 }
 
-// StreamWeekly is the incremental producer behind RunWeekly: it runs
-// the identical weekly sweeps — same clock advance, same per-week seed
-// schedule, in the same order, so the simulated world's fault state
-// evolves exactly as under the batch path — but hands each week to sink
-// as an EpochDelta instead of accumulating a Series. A blocking sink
+// StreamWeekly is the weekly-scan producer of the study's series engine:
+// it runs the sweeps RunWeekly runs — same clock advance, same per-week
+// seed schedule, in the same order, so the simulated world's fault
+// state evolves exactly as under the batch reference — but hands each
+// week to sink as an EpochDelta instead of accumulating a Series. A blocking sink
 // (e.g. pipeline.Queue.Put) is the backpressure seam: the producer can
 // run only as far ahead as the sink allows. A sink error (including a
 // closed queue's) aborts the stream.

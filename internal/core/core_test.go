@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,19 +28,19 @@ func newStudy(t testing.TB, order uint) *Study {
 
 func TestTrustedResolveAndRDNSChannels(t *testing.T) {
 	s := newStudy(t, 16)
-	addrs, rc := s.TrustedResolve(domains.GroundTruth)
+	addrs, rc := s.TrustedResolve(context.Background(), domains.GroundTruth)
 	if rc != 0 || len(addrs) == 0 {
 		t.Fatalf("trusted resolve GT: %v rc=%v", addrs, rc)
 	}
 	// Cache must return identical results.
-	addrs2, _ := s.TrustedResolve(domains.GroundTruth)
+	addrs2, _ := s.TrustedResolve(context.Background(), domains.GroundTruth)
 	if addrs2[0] != addrs[0] {
 		t.Error("trusted cache inconsistent")
 	}
 	// rDNS round trip through the measurement channel.
 	found := false
 	for u := uint32(50); u < 1<<16 && !found; u += 97 {
-		if name, ok := s.RDNS(u); ok && name != "" {
+		if name, ok := s.RDNS(context.Background(), u); ok && name != "" {
 			found = true
 		}
 	}
@@ -48,9 +49,42 @@ func TestTrustedResolveAndRDNSChannels(t *testing.T) {
 	}
 }
 
+// TestTrustedLookupsSkipCachingCancelled checks that a trusted A or PTR
+// lookup that failed because its ctx died leaves no cache entry: the
+// same Study, asked again under a live ctx, must resolve for real
+// instead of replaying a SERVFAIL or a missing PTR.
+func TestTrustedLookupsSkipCachingCancelled(t *testing.T) {
+	s := newStudy(t, 16)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, rc := s.TrustedResolve(dead, domains.GroundTruth); rc != dnswire.RCodeServFail {
+		t.Fatalf("cancelled trusted resolve: rc=%v, want SERVFAIL", rc)
+	}
+	if addrs, rc := s.TrustedResolve(context.Background(), domains.GroundTruth); rc != dnswire.RCodeNoError || len(addrs) == 0 {
+		t.Errorf("live trusted resolve after a cancelled one: %v rc=%v; the cancelled failure was cached", addrs, rc)
+	}
+
+	var target uint32
+	for u := uint32(50); u < 1<<16; u += 97 {
+		if s.World.RDNS(u) != "" {
+			target = u
+			break
+		}
+	}
+	if target == 0 {
+		t.Fatal("no address with an rDNS record")
+	}
+	if _, ok := s.RDNS(dead, target); ok {
+		t.Fatal("cancelled rDNS lookup succeeded")
+	}
+	if name, ok := s.RDNS(context.Background(), target); !ok || name == "" {
+		t.Errorf("live rDNS after a cancelled one: %q/%v; the cancelled failure was cached", name, ok)
+	}
+}
+
 func TestVerificationScanFindsBlockedNetworks(t *testing.T) {
 	s := newStudy(t, 17)
-	v, err := s.RunVerification(50)
+	v, err := s.RunVerificationContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +105,7 @@ func TestVerificationScanFindsBlockedNetworks(t *testing.T) {
 
 func TestDomainStudySmallCategories(t *testing.T) {
 	s := newStudy(t, 17)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Adult, domains.Gambling, domains.NX})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Adult, domains.Gambling, domains.NX})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +157,7 @@ func TestDomainStudySmallCategories(t *testing.T) {
 
 func TestDomainStudyCensorshipGeography(t *testing.T) {
 	s := newStudy(t, 18)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Alexa})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Alexa})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +200,7 @@ func TestDomainStudyCensorshipGeography(t *testing.T) {
 
 func TestDomainStudyCaseStudies(t *testing.T) {
 	s := newStudy(t, 17)
-	res, err := s.RunDomainStudy(50, []domains.Category{
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
 		domains.Ads, domains.Banking, domains.MX, domains.Misc,
 	})
 	if err != nil {
@@ -202,7 +236,7 @@ func TestDomainStudyCaseStudies(t *testing.T) {
 
 func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
 	s := newStudy(t, 16)
-	chaos, n, err := s.RunChaos(46)
+	chaos, n, err := s.RunChaosContext(context.Background(), 46)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +246,7 @@ func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
 	if v := chaos.VersionedShare(); math.Abs(v-0.339) > 0.08 {
 		t.Errorf("versioned share = %.3f", v)
 	}
-	dev, err := s.RunDevices(46)
+	dev, err := s.RunDevicesContext(context.Background(), 46)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +257,7 @@ func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
 
 func TestStageTraceComplete(t *testing.T) {
 	s := newStudy(t, 16)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Dating})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +275,7 @@ func TestDNSSECRaceExperiment(t *testing.T) {
 	s := newStudy(t, 18)
 	// wikileaks.org is signed AND injected by the Chinese firewall:
 	// the exact §5 scenario.
-	res, err := s.RunDNSSECRace(50, "CN", "wikileaks.org")
+	res, err := s.RunDNSSECRaceContext(context.Background(), 50, "CN", "wikileaks.org")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +311,7 @@ func TestDNSSECRaceExperiment(t *testing.T) {
 		t.Error("validated success should be the exception, not the rule")
 	}
 	// An unsigned injected domain cannot be protected at all.
-	un, err := s.RunDNSSECRace(50, "CN", "facebook.com")
+	un, err := s.RunDNSSECRaceContext(context.Background(), 50, "CN", "facebook.com")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +329,11 @@ func TestDNSSECSignedAnswerValidatesEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("GT zone unsigned")
 	}
-	msgs := s.Scanner.Probe(s.World.RoleAddr(wildnet.RoleTrustedDNS, 0),
+	msgs, err := s.Scanner.ProbeContext(context.Background(), s.World.RoleAddr(wildnet.RoleTrustedDNS, 0),
 		domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(msgs) == 0 {
 		t.Fatal("no trusted response")
 	}
@@ -307,7 +344,7 @@ func TestDNSSECSignedAnswerValidatesEndToEnd(t *testing.T) {
 
 func TestFineGrainedModificationClustering(t *testing.T) {
 	s := newStudy(t, 17)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Banking})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Banking})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +377,12 @@ func TestOpenResolverProjectCrossCheck(t *testing.T) {
 	// independent scans within a 2% error margin. Model: a second,
 	// independently seeded scan of the same week must agree.
 	s := newStudy(t, 17)
-	ours, err := s.SweepAt(10)
+	ours, err := s.SweepAtContext(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orp := scanner.New(s.Transport, scanner.Options{Workers: 4, SettleDelay: scanner.NoSettle})
-	theirs, err := orp.Sweep(s.Cfg.Order, 0x0127734C7, s.World.ScanBlacklist())
+	theirs, err := orp.SweepContext(context.Background(), s.Cfg.Order, 0x0127734C7, s.World.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,15 +399,15 @@ func TestVanishedNetworkForensicsEndToEnd(t *testing.T) {
 	// first scan show none at the end; the verification vantage
 	// separates scanner-blocking from real filtering/shutdown.
 	s := newStudy(t, 20)
-	first, err := s.SweepAt(0)
+	first, err := s.SweepAtContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := s.SweepAt(55)
+	last, err := s.SweepAtContext(context.Background(), 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	secondary, err := s.SecondaryAliveSet(55)
+	secondary, err := s.SecondaryAliveSetContext(context.Background(), 55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +443,7 @@ func TestVanishedNetworkForensicsEndToEnd(t *testing.T) {
 // (stage events appear) but never what it measures.
 func TestObserverIsSideChannelOnly(t *testing.T) {
 	plain := newStudy(t, 16)
-	resA, err := plain.RunDomainStudy(50, []domains.Category{domains.Dating})
+	resA, err := plain.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +451,7 @@ func TestObserverIsSideChannelOnly(t *testing.T) {
 	observed := newStudy(t, 16)
 	var events []pipeline.StageEvent
 	observed.Observer = func(ev pipeline.StageEvent) { events = append(events, ev) }
-	resB, err := observed.RunDomainStudy(50, []domains.Category{domains.Dating})
+	resB, err := observed.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}

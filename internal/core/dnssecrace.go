@@ -29,12 +29,6 @@ type DNSSECRaceResult struct {
 	ValidatedFallback int // unsigned domain: validation cannot help
 }
 
-// RunDNSSECRace probes every resolver of a country for one domain; it
-// is the ctx-less wrapper over RunDNSSECRaceContext.
-func (s *Study) RunDNSSECRace(week int, country, name string) (*DNSSECRaceResult, error) {
-	return s.RunDNSSECRaceContext(bgCtx, week, country, name)
-}
-
 // RunDNSSECRaceContext probes every resolver of a country for one domain
 // and evaluates both client strategies: census stage, trusted key-fetch
 // stage, then the per-resolver race probes. The zone key is fetched
@@ -91,7 +85,7 @@ func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, nam
 		Name:  "race-probes",
 		Needs: []string{"key-fetch"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			legit, _ := s.TrustedResolve(name)
+			legit, _ := s.TrustedResolve(ctx, name)
 			legitSet := map[uint32]bool{}
 			for _, a := range legit {
 				legitSet[a] = true

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"goingwild/internal/classify"
+	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/pipeline"
 	"goingwild/internal/prefilter"
@@ -31,12 +32,6 @@ type DomainStudyResult struct {
 type StageCount struct {
 	Stage string
 	Count int
-}
-
-// RunDomainStudy executes the Figure-3 chain; it is the ctx-less wrapper
-// over RunDomainStudyContext.
-func (s *Study) RunDomainStudy(week int, cats []domains.Category) (*DomainStudyResult, error) {
-	return s.RunDomainStudyContext(bgCtx, week, cats)
 }
 
 // RunDomainStudyContext executes steps ❶–❻ at the given week for the
@@ -85,7 +80,10 @@ func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []doma
 		Name:  "prefilter",
 		Needs: []string{"domain-scan"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			res.Pre = prefilter.Run(res.Scan, s.PrefilterEnv())
+			res.Pre = prefilter.Run(res.Scan, s.PrefilterEnv(ctx))
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			return []pipeline.Count{
 				{Name: "3-unexpected tuples", Value: len(res.Pre.Unexpected)},
 				{Name: "3-unexpected resolvers", Value: len(res.Pre.UnexpectedResolvers())},
@@ -98,9 +96,11 @@ func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []doma
 		Name:  "classify",
 		Needs: []string{"prefilter"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			gt := classify.BuildGroundTruth(s.Client, s.TrustedResolve, names)
+			client := s.client(ctx)
+			trusted := func(name string) ([]uint32, dnswire.RCode) { return s.TrustedResolve(ctx, name) }
+			gt := classify.BuildGroundTruth(client, trusted, names)
 			pipe = &classify.Pipeline{
-				Client: s.Client,
+				Client: client,
 				ResolverCountry: func(ri int) string {
 					return s.World.Geo().LookupU32(res.Resolvers[ri]).Country
 				},
@@ -109,9 +109,14 @@ func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []doma
 					r := res.Resolvers[ri]
 					return ip>>8 == r>>8 || s.World.ASNOf(ip) == s.World.ASNOf(r)
 				},
-				ProbeCountryInjection: s.ProbeCountryInjection,
+				ProbeCountryInjection: func(country, name string) bool {
+					return s.ProbeCountryInjection(ctx, country, name)
+				},
 			}
 			res.Report = pipe.Run(res.Scan, res.Pre, gt)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			return []pipeline.Count{
 				{Name: "4-fetched pairs", Value: res.Report.PairCount},
 				{Name: "5-clusters", Value: res.Report.Clusters},

@@ -4,17 +4,12 @@ import (
 	"context"
 
 	"goingwild/internal/ampli"
+	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/netalyzr"
 	"goingwild/internal/pipeline"
 	"goingwild/internal/snoop"
 )
-
-// RunAmplification surveys ANY-query amplification; it is the ctx-less
-// wrapper over RunAmplificationContext.
-func (s *Study) RunAmplification(week int, name string) (*ampli.Survey, int, error) {
-	return s.RunAmplificationContext(bgCtx, week, name)
-}
 
 // RunAmplificationContext surveys the population's ANY-query
 // amplification potential (the DDoS framing of §1/§3; companion to the
@@ -42,12 +37,6 @@ func (s *Study) RunAmplificationContext(ctx context.Context, week int, name stri
 		return nil, 0, err
 	}
 	return survey, len(resolvers), nil
-}
-
-// RunPopularity executes the minute-resolution cache probe; it is the
-// ctx-less wrapper over RunPopularityContext.
-func (s *Study) RunPopularity(week int) ([]snoop.PopularityEstimate, error) {
-	return s.RunPopularityContext(bgCtx, week)
 }
 
 // RunPopularityContext executes the fine-grained minute-resolution cache
@@ -89,20 +78,25 @@ func (s *Study) RunPopularityContext(ctx context.Context, week int) ([]snoop.Pop
 
 // RunNetalyzr simulates the in-network volunteer-session study of Weaver
 // et al. against the world's *closed* ISP resolvers — the complementary
-// vantage §6 suggests combining with the open-resolver scans.
-func (s *Study) RunNetalyzr(week, sessions int) *netalyzr.Study {
+// vantage §6 suggests combining with the open-resolver scans. Its
+// trusted lookups run under ctx; a cancelled run returns ctx.Err().
+func (s *Study) RunNetalyzr(ctx context.Context, week, sessions int) (*netalyzr.Study, error) {
 	s.SetWeek(week)
 	isCDNAS := func(asn uint32) bool { return asn >= 7000 && asn < 7060 }
-	return netalyzr.Run(s.World, netalyzr.Config{
+	study := netalyzr.Run(s.World, netalyzr.Config{
 		Sessions:       sessions,
 		Seed:           s.Cfg.Seed ^ 0x4E7ABC,
 		Week:           week,
 		ProbeNX:        "ghoogle.com",
 		ProbeDomains:   []string{"chase.com", "okcupid.com", domains.GroundTruth},
-		TrustedResolve: s.TrustedResolve,
+		TrustedResolve: func(name string) ([]uint32, dnswire.RCode) { return s.TrustedResolve(ctx, name) },
 		SameNeighborhood: func(a, b uint32) bool {
 			aa, ab := s.World.ASNOf(a), s.World.ASNOf(b)
 			return aa == ab || (isCDNAS(aa) && isCDNAS(ab))
 		},
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return study, nil
 }

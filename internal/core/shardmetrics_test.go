@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -23,7 +24,7 @@ func runShardedSweep(t *testing.T, m int) (*scanner.SweepResult, *metrics.Regist
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.SweepAt(3)
+	res, err := s.SweepAtContext(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,10 @@ func streamCfg(order uint) Config {
 	return cfg
 }
 
-// seriesBatch runs the batch weekly series on a fresh study.
+// seriesBatch runs the batch reference churn.RunWeekly on a fresh
+// study, with the schedule the series engine uses: the study's scanner,
+// clock and locator, its ScanSeed, and the first and last weeks
+// retained.
 func seriesBatch(t *testing.T, cfg Config) *churn.Series {
 	t.Helper()
 	s, err := NewStudy(cfg)
@@ -28,7 +31,13 @@ func seriesBatch(t *testing.T, cfg Config) *churn.Series {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	series, err := s.RunWeeklySeriesContext(context.Background())
+	series, err := churn.RunWeekly(context.Background(), s.Scanner, s.Transport, s.locator(), churn.StudyConfig{
+		Order:       cfg.Order,
+		Seed:        cfg.ScanSeed,
+		Weeks:       cfg.Weeks,
+		Blacklist:   s.World.ScanBlacklist(),
+		RetainWeeks: []int{0, cfg.Weeks - 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +59,15 @@ func seriesStream(t *testing.T, cfg Config, live func(EpochView)) *churn.Series 
 	return series
 }
 
-// TestStreamingSeriesMatchesBatch is the tentpole contract: the epoch
-// stream must reproduce the batch series exactly — deeply equal
-// structures, so every rendering derived from them (Figure 1, Tables
-// 1–2; pure functions of the series) is byte-identical — including
-// across a GOMAXPROCS flip, since the bounded queue hands the consumer
-// exactly the producer's epoch order no matter the schedule. The CI
-// stream-determinism job diffs the binaries' full stdout on top.
+// TestStreamingSeriesMatchesBatch holds the series engine to an
+// independent reference: the epoch stream must reproduce what the batch
+// churn.RunWeekly aggregates from full sweeps on an identical fresh
+// study — deeply equal structures, so every rendering derived from them
+// (Figure 1, Tables 1–2; pure functions of the series) is
+// byte-identical — including across a GOMAXPROCS flip, since the
+// bounded queue hands the consumer exactly the producer's epoch order
+// no matter the schedule. TestSeriesGolden and the CI stream-determinism
+// job pin the rendered bytes on top.
 func TestStreamingSeriesMatchesBatch(t *testing.T) {
 	const order = 16
 	cfg := streamCfg(order)

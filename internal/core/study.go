@@ -25,12 +25,6 @@ import (
 	"goingwild/internal/wildnet"
 )
 
-// bgCtx backs the ctx-less compatibility wrappers around the Context
-// study entrypoints.
-//
-//lint:allow ctxhygiene sole Background escape for the ctx-less compatibility wrappers
-var bgCtx = context.Background()
-
 // Config parameterizes a study.
 type Config struct {
 	// Order is the simulated address-space width (the paper's Internet
@@ -107,7 +101,6 @@ type Study struct {
 	Transport *wildnet.MemTransport
 	Scanner   *scanner.Scanner
 	Web       *websim.Server
-	Client    *fetch.Client
 
 	// Observer, when set, receives every pipeline stage event of every
 	// Run* method — start, done (with tuple counts and elapsed time),
@@ -175,7 +168,7 @@ func NewStudy(cfg Config) (*Study, error) {
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	sc := scanner.New(tr, cfg.scanOpts())
 	web := websim.New(w, wildnet.At(0))
-	s := &Study{
+	return &Study{
 		Cfg:          cfg,
 		World:        w,
 		Transport:    tr,
@@ -184,9 +177,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		trustedDNS:   w.RoleAddr(wildnet.RoleTrustedDNS, 0),
 		trustedCache: map[string]trustedEntry{},
 		rdnsCache:    map[uint32]rdnsEntry{},
-	}
-	s.Client = fetch.NewClient(web, s.resolveAt)
-	return s, nil
+	}, nil
 }
 
 // Close releases the transport.
@@ -200,41 +191,51 @@ func (s *Study) SetWeek(week int) {
 }
 
 // TrustedResolve performs a cached A lookup at the team's trusted
-// resolvers (a measurement channel, not world ground truth).
-func (s *Study) TrustedResolve(name string) ([]uint32, dnswire.RCode) {
+// resolvers (a measurement channel, not world ground truth). A lookup
+// that failed because ctx died is not cached, so a cancelled run cannot
+// leave SERVFAIL entries behind in a reused Study.
+func (s *Study) TrustedResolve(ctx context.Context, name string) ([]uint32, dnswire.RCode) {
 	if e, ok := s.trustedCache[name]; ok {
 		return e.addrs, e.rcode
 	}
-	addrs, rcode, ok := s.Scanner.LookupA(s.trustedDNS, name)
+	addrs, rcode, ok := s.Scanner.LookupA(ctx, s.trustedDNS, name)
 	if !ok {
 		// One retry; the trusted path should be reliable.
-		addrs, rcode, ok = s.Scanner.LookupA(s.trustedDNS, name)
+		addrs, rcode, ok = s.Scanner.LookupA(ctx, s.trustedDNS, name)
 		if !ok {
 			rcode = dnswire.RCodeServFail
 		}
 	}
-	s.trustedCache[name] = trustedEntry{addrs: addrs, rcode: rcode}
+	if ok || ctx.Err() == nil {
+		s.trustedCache[name] = trustedEntry{addrs: addrs, rcode: rcode}
+	}
 	return addrs, rcode
 }
 
-// RDNS resolves an address's PTR record through the trusted resolvers.
-func (s *Study) RDNS(ip uint32) (string, bool) {
+// RDNS resolves an address's PTR record through the trusted resolvers;
+// like TrustedResolve it does not cache a lookup that ctx cut short.
+func (s *Study) RDNS(ctx context.Context, ip uint32) (string, bool) {
 	if e, ok := s.rdnsCache[ip]; ok {
 		return e.name, e.ok
 	}
-	name, ok := s.Scanner.LookupPTR(s.trustedDNS, ip)
+	name, ok := s.Scanner.LookupPTR(ctx, s.trustedDNS, ip)
 	if !ok {
-		name, ok = s.Scanner.LookupPTR(s.trustedDNS, ip)
+		name, ok = s.Scanner.LookupPTR(ctx, s.trustedDNS, ip)
 	}
-	s.rdnsCache[ip] = rdnsEntry{name: name, ok: ok}
+	if ok || ctx.Err() == nil {
+		s.rdnsCache[ip] = rdnsEntry{name: name, ok: ok}
+	}
 	return name, ok
 }
 
-// resolveAt resolves a name at an arbitrary resolver (redirect chasing in
-// the acquisition stage).
-func (s *Study) resolveAt(resolver uint32, name string) ([]uint32, bool) {
-	addrs, rcode, ok := s.Scanner.LookupA(resolver, name)
-	return addrs, ok && rcode == dnswire.RCodeNoError && len(addrs) > 0
+// client builds the acquisition client for one stage: it fetches from
+// the study's web layer and chases redirects by resolving at the
+// redirecting resolver under the stage's ctx.
+func (s *Study) client(ctx context.Context) *fetch.Client {
+	return fetch.NewClient(s.Web, func(resolver uint32, name string) ([]uint32, bool) {
+		addrs, rcode, ok := s.Scanner.LookupA(ctx, resolver, name)
+		return addrs, ok && rcode == dnswire.RCodeNoError && len(addrs) > 0
+	})
 }
 
 // locator adapts the registry for the churn package.
@@ -257,10 +258,16 @@ func (s *Study) engine() *pipeline.Engine {
 // the study-wide Degraded list before handing the trace back.
 func (s *Study) runEngine(ctx context.Context, eng *pipeline.Engine) (*pipeline.Trace, error) {
 	trace, err := eng.Run(ctx)
+	s.noteDegraded(trace)
+	return trace, err
+}
+
+// noteDegraded appends a trace's absorbed best-effort failures to the
+// study-wide Degraded list.
+func (s *Study) noteDegraded(trace *pipeline.Trace) {
 	for _, st := range trace.Degraded() {
 		s.Degraded = append(s.Degraded, DegradedStage{Stage: st.Name, Err: st.Err.Error()})
 	}
-	return trace, err
 }
 
 // sweepStage is the shared "❶ full IPv4 scan" stage: it sweeps the
@@ -286,50 +293,6 @@ func (s *Study) sweepStage(name string, week int, resolvers *[]uint32, total *in
 	}
 }
 
-// RunWeeklySeries performs the §2.2 longitudinal scans; it is the
-// ctx-less wrapper over RunWeeklySeriesContext.
-func (s *Study) RunWeeklySeries() (*churn.Series, error) {
-	return s.RunWeeklySeriesContext(bgCtx)
-}
-
-// RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
-// and, via the retained endpoints, Tables 1–2) as a one-stage pipeline.
-func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
-	var series *churn.Series
-	eng := s.engine()
-	eng.MustAdd(pipeline.Stage{
-		Name: "weekly-scans",
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			var err error
-			series, err = churn.RunWeekly(ctx, s.Scanner, s.Transport, s.locator(), churn.StudyConfig{
-				Order:       s.Cfg.Order,
-				Seed:        s.Cfg.ScanSeed,
-				Weeks:       s.Cfg.Weeks,
-				Blacklist:   s.World.ScanBlacklist(),
-				RetainWeeks: []int{0, s.Cfg.Weeks - 1},
-			})
-			if err != nil {
-				return nil, err
-			}
-			counts := []pipeline.Count{{Name: "weeks scanned", Value: len(series.Weeks)}}
-			if len(series.Weeks) > 0 {
-				counts = append(counts, pipeline.Count{Name: "final-week responders", Value: series.Last().Total})
-			}
-			return counts, nil
-		},
-	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	return series, nil
-}
-
-// SweepAt runs a single Internet-wide scan at a given week; it is the
-// ctx-less wrapper over SweepAtContext.
-func (s *Study) SweepAt(week int) (*scanner.SweepResult, error) {
-	return s.SweepAtContext(bgCtx, week)
-}
-
 // SweepAtContext runs a single Internet-wide scan at a given week.
 func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepResult, error) {
 	s.SetWeek(week)
@@ -337,18 +300,12 @@ func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepRes
 }
 
 // SweepShardAt runs shard `shard` of `of` of the week's Internet-wide
-// scan — the same permutation SweepAt walks, decimated by leapfrog — so
-// separate processes can each cover one shard and cmd/wildmerge can
-// recombine their artifacts into the unsharded census.
+// scan — the same permutation SweepAtContext walks, decimated by
+// leapfrog — so separate processes can each cover one shard and
+// cmd/wildmerge can recombine their artifacts into the unsharded census.
 func (s *Study) SweepShardAt(ctx context.Context, week, shard, of int) (*scanner.SweepResult, error) {
 	s.SetWeek(week)
 	return s.Scanner.SweepShardContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist(), shard, of)
-}
-
-// RunCohortStudy tracks the week-0 responders; it is the ctx-less
-// wrapper over RunCohortStudyContext.
-func (s *Study) RunCohortStudy(weeks int) (*churn.CohortStudy, error) {
-	return s.RunCohortStudyContext(bgCtx, weeks)
 }
 
 // RunCohortStudyContext tracks the week-0 responders (Figure 2, §2.5):
@@ -391,12 +348,6 @@ func (s *Study) RunCohortStudyContext(ctx context.Context, weeks int) (*churn.Co
 	return study, nil
 }
 
-// RunChaos performs the CHAOS fingerprinting scan; it is the ctx-less
-// wrapper over RunChaosContext.
-func (s *Study) RunChaos(week int) (*fingerprint.ChaosSurvey, int, error) {
-	return s.RunChaosContext(bgCtx, week)
-}
-
 // RunChaosContext performs the CHAOS fingerprinting scan of §2.4
 // (Table 3): census stage, then version-query stage.
 func (s *Study) RunChaosContext(ctx context.Context, week int) (*fingerprint.ChaosSurvey, int, error) {
@@ -435,12 +386,6 @@ func (b bannerSource) Banner(addr uint32, proto devices.Proto) (string, bool) {
 	return b.w.ServiceBanner(addr, proto, b.t)
 }
 
-// RunDevices performs the device fingerprinting; it is the ctx-less
-// wrapper over RunDevicesContext.
-func (s *Study) RunDevices(week int) (*fingerprint.DeviceSurvey, error) {
-	return s.RunDevicesContext(bgCtx, week)
-}
-
 // RunDevicesContext performs the device fingerprinting of §2.4
 // (Table 4): census stage, then banner-grab stage.
 func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.DeviceSurvey, error) {
@@ -469,12 +414,6 @@ func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.D
 		survey = &fingerprint.DeviceSurvey{Scanned: len(resolvers)}
 	}
 	return survey, nil
-}
-
-// RunUtilization performs the cache-snooping study; it is the ctx-less
-// wrapper over RunUtilizationContext.
-func (s *Study) RunUtilization(week int) (*snoop.Result, error) {
-	return s.RunUtilizationContext(bgCtx, week)
 }
 
 // RunUtilizationContext performs the cache-snooping study of §2.6:
@@ -527,12 +466,6 @@ type VerificationResult struct {
 	OnlySecondary        int
 	OnlySecondaryByRCode map[dnswire.RCode]int
 	MissedNOERRORShare   float64
-}
-
-// RunVerification executes the secondary-vantage verification scan; it
-// is the ctx-less wrapper over RunVerificationContext.
-func (s *Study) RunVerification(week int) (*VerificationResult, error) {
-	return s.RunVerificationContext(bgCtx, week)
 }
 
 // RunVerificationContext executes the secondary-vantage verification
@@ -606,12 +539,6 @@ func (s *Study) RunVerificationContext(ctx context.Context, week int) (*Verifica
 	return out, nil
 }
 
-// SecondaryAliveSet probes the full space from the secondary vantage;
-// it is the ctx-less wrapper over SecondaryAliveSetContext.
-func (s *Study) SecondaryAliveSet(week int) (map[uint32]bool, error) {
-	return s.SecondaryAliveSetContext(bgCtx, week)
-}
-
 // SecondaryAliveSetContext probes the full space from the secondary
 // vantage and returns the responding set, for the vanished-network
 // classification.
@@ -636,24 +563,25 @@ func (s *Study) SecondaryAliveSetContext(ctx context.Context, week int) (map[uin
 // (most of which run no resolver); responses for the probed name without
 // responses for a control name betray an in-transit injector like the
 // Great Firewall. Address sampling uses the public geographic registry.
-func (s *Study) ProbeCountryInjection(country, name string) bool {
+func (s *Study) ProbeCountryInjection(ctx context.Context, country, name string) bool {
 	const samples = 24
 	geo := s.World.Geo()
 	src := prand32(s.Cfg.Seed ^ hashString64(country) ^ hashString64(name))
 	hits := 0
 	tried := 0
-	for i := 0; tried < samples && i < samples*64; i++ {
+	for i := 0; tried < samples && i < samples*64 && ctx.Err() == nil; i++ {
 		u := s.World.Mask(src())
 		if geo.LookupU32(u).Country != country {
 			continue
 		}
 		tried++
-		if len(s.Scanner.Probe(u, name, dnswire.TypeA, dnswire.ClassIN)) == 0 {
+		if msgs, _ := s.Scanner.ProbeContext(ctx, u, name, dnswire.TypeA, dnswire.ClassIN); len(msgs) == 0 {
 			continue
 		}
 		// Control: a name no injector cares about must stay silent
 		// from the same address (otherwise it is simply a resolver).
-		if len(s.Scanner.Probe(u, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)) == 0 {
+		// A probe that ctx cut short proves nothing.
+		if msgs, err := s.Scanner.ProbeContext(ctx, u, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN); err == nil && len(msgs) == 0 {
 			hits++
 			if hits >= 2 {
 				return true
@@ -681,14 +609,16 @@ func hashString64(s string) uint64 {
 	return h
 }
 
-// PrefilterEnv builds the prefilter's measurement environment.
-func (s *Study) PrefilterEnv() prefilter.Env {
+// PrefilterEnv builds the prefilter's measurement environment; its
+// lookups run under ctx.
+func (s *Study) PrefilterEnv(ctx context.Context) prefilter.Env {
+	client := s.client(ctx)
 	return prefilter.Env{
-		TrustedResolve: s.TrustedResolve,
-		RDNS:           s.RDNS,
+		TrustedResolve: func(name string) ([]uint32, dnswire.RCode) { return s.TrustedResolve(ctx, name) },
+		RDNS:           func(ip uint32) (string, bool) { return s.RDNS(ctx, ip) },
 		ASOf:           s.World.ASNOf,
 		CertProbe: func(ip uint32, serverName string, sni bool) (prefilter.Cert, bool) {
-			c, ok := s.Client.CertProbe(ip, serverName, sni)
+			c, ok := client.CertProbe(ip, serverName, sni)
 			if !ok {
 				return prefilter.Cert{}, false
 			}

@@ -21,8 +21,10 @@ import (
 //     package main (cmd/) owns roots — everything else must accept one.
 //     Tests are exempt by construction: the loader skips _test.go files.
 //
-// The ctx-less compatibility wrappers in scanner and core share one
-// annotated package-level Background each (`//lint:allow ctxhygiene`).
+// Library code has no sanctioned Background of its own: every scan and
+// study method takes the caller's ctx first. The one allow-annotated
+// escape is debughttp's shutdown drain, which must outlive every caller
+// context.
 func checkCtxHygiene(p *Package, cfg *Config, emit func(token.Pos, string, string)) {
 	// cmd/ binaries are where roots belong.
 	if p.Types.Name() == "main" || strings.HasPrefix(p.Path, cfg.ModulePath+"/cmd/") {

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func sweepWith(t *testing.T, order uint, seed uint32, opts Options) *SweepResult
 	}
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	defer tr.Close()
-	res, err := New(tr, opts).Sweep(order, seed, w.ScanBlacklist())
+	res, err := New(tr, opts).SweepContext(context.Background(), order, seed, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSweepShardUnionMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		res, err := New(tr, opts).SweepShard(16, 777, w.ScanBlacklist(), shard, of)
+		res, err := New(tr, opts).SweepShardContext(context.Background(), 16, 777, w.ScanBlacklist(), shard, of)
 		tr.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +177,7 @@ func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 			transport = struct{ Transport }{tr}
 		}
 		res, err := New(transport, Options{Workers: 2, SweepRetries: 1, SettleDelay: time.Millisecond}).
-			Sweep(14, 31337, w.ScanBlacklist())
+			SweepContext(context.Background(), 14, 31337, w.ScanBlacklist())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,7 @@ func TestScanDomainsCancelBetweenRounds(t *testing.T) {
 	w, mem := testWorld(t, 16)
 	defer mem.Close()
 	s := New(mem, Options{Workers: 4, SettleDelay: NoSettle})
-	sweep, err := s.Sweep(16, 31, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 31, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +190,21 @@ func TestScanDomainsCancelBetweenRounds(t *testing.T) {
 	}
 }
 
-// TestSweepContextUncancelledMatchesWrapper pins the compatibility
-// contract: threading a live context through SweepContext yields exactly
-// the result of the ctx-less wrapper.
-func TestSweepContextUncancelledMatchesWrapper(t *testing.T) {
+// TestSweepContextUncancelledMatchesBackground pins the polling gate:
+// a cancellable context that is never cancelled (the hot loops poll it)
+// yields exactly what a context that can never be cancelled (Done() ==
+// nil, polling skipped) yields.
+func TestSweepContextUncancelledMatchesBackground(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	a, err := s.Sweep(16, 31, w.ScanBlacklist())
+	a, err := s.SweepContext(context.Background(), 16, 31, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.SweepContext(context.Background(), 16, 31, w.ScanBlacklist())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := s.SweepContext(ctx, 16, 31, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,6 @@ func (c *ChaosResult) Responded() int {
 	return n
 }
 
-// ScanChaos issues version.bind and version.server CHAOS TXT queries to
-// every resolver; it is the ctx-less wrapper over ScanChaosContext.
-func (s *Scanner) ScanChaos(resolvers []uint32) (*ChaosResult, error) {
-	return s.ScanChaosContext(bgCtx, resolvers)
-}
-
 // ScanChaosContext issues version.bind and version.server CHAOS TXT
 // queries to every resolver. The probe identifier rides in the
 // transaction ID (CHAOS scans target an enumerated list, so 16+1 bits

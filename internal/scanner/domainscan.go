@@ -39,12 +39,6 @@ type DomainScanResult struct {
 	Answers [][]TupleAnswer
 }
 
-// ScanDomains queries every resolver for every name; it is the ctx-less
-// wrapper over ScanDomainsContext.
-func (s *Scanner) ScanDomains(resolvers []uint32, names []string) (*DomainScanResult, error) {
-	return s.ScanDomainsContext(bgCtx, resolvers, names)
-}
-
 // ScanDomainsContext queries every resolver for every name. Each probe
 // carries the resolver's index as a 25-bit identifier: 16 bits in the DNS
 // transaction ID, 9 bits selecting the UDP source port, and the same 9

@@ -48,21 +48,21 @@ func TestNilTransportGuards(t *testing.T) {
 			return err
 		}},
 		{"LookupPTR", func(s *Scanner) error {
-			name, ok := s.LookupPTR(resolvers[0], resolvers[1])
+			name, ok := s.LookupPTR(context.Background(), resolvers[0], resolvers[1])
 			if ok || name != "" {
 				return errors.New("LookupPTR succeeded without a transport")
 			}
 			return ErrNoTransport
 		}},
 		{"LookupA", func(s *Scanner) error {
-			addrs, rcode, ok := s.LookupA(resolvers[0], "example.com")
+			addrs, rcode, ok := s.LookupA(context.Background(), resolvers[0], "example.com")
 			if ok || len(addrs) != 0 || rcode != 0 {
 				return errors.New("LookupA succeeded without a transport")
 			}
 			return ErrNoTransport
 		}},
 		{"ProbeTC", func(s *Scanner) error {
-			msgs, ok := s.ProbeTC(resolvers[0], "example.com", dnswire.TypeA, dnswire.ClassIN)
+			msgs, ok := s.ProbeTC(context.Background(), resolvers[0], "example.com", dnswire.TypeA, dnswire.ClassIN)
 			if ok || len(msgs) != 0 {
 				return errors.New("ProbeTC succeeded without a transport")
 			}

@@ -9,13 +9,6 @@ import (
 	"goingwild/internal/lfsr"
 )
 
-// ProbeAlive re-probes an explicit address list; it is the ctx-less
-// wrapper over ProbeAliveContext.
-func (s *Scanner) ProbeAlive(addrs []uint32) map[uint32]bool {
-	alive, _ := s.ProbeAliveContext(bgCtx, addrs)
-	return alive
-}
-
 // ProbeAliveContext re-probes an explicit address list (the §2.5 churn
 // study tracks the week-0 cohort this way) and returns the set that
 // responded with any DNS answer. Cancellation checkpoints sit between
@@ -64,12 +57,14 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 
 // LookupPTR resolves the reverse name of target through the resolver at
 // via (the churn study aggregates rDNS records of disappeared cohort
-// members through the trusted resolvers, §2.5).
-func (s *Scanner) LookupPTR(via, target uint32) (string, bool) {
+// members through the trusted resolvers, §2.5). A dead ctx cuts the
+// settle wait short; the lookup then reports whatever had arrived, so
+// callers that must not keep going check ctx themselves.
+func (s *Scanner) LookupPTR(ctx context.Context, via, target uint32) (string, bool) {
 	if s.tr == nil {
 		return "", false
 	}
-	msgs := s.Probe(via, fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa",
+	msgs, _ := s.ProbeContext(ctx, via, fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa",
 		target&0xFF, target>>8&0xFF, target>>16&0xFF, target>>24), dnswire.TypePTR, dnswire.ClassIN)
 	for _, m := range msgs {
 		for _, rr := range m.Answers {
@@ -82,12 +77,13 @@ func (s *Scanner) LookupPTR(via, target uint32) (string, bool) {
 }
 
 // LookupA resolves an A record through the resolver at via, returning the
-// answer addresses (used by the prefilter's rDNS round-trip rule).
-func (s *Scanner) LookupA(via uint32, name string) ([]uint32, dnswire.RCode, bool) {
+// answer addresses (used by the prefilter's rDNS round-trip rule). Like
+// LookupPTR it honours ctx during the settle wait.
+func (s *Scanner) LookupA(ctx context.Context, via uint32, name string) ([]uint32, dnswire.RCode, bool) {
 	if s.tr == nil {
 		return nil, 0, false
 	}
-	msgs := s.Probe(via, name, dnswire.TypeA, dnswire.ClassIN)
+	msgs, _ := s.ProbeContext(ctx, via, name, dnswire.TypeA, dnswire.ClassIN)
 	for _, m := range msgs {
 		addrs := m.AnswerAddrs()
 		out := make([]uint32, len(addrs))

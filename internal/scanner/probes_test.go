@@ -13,7 +13,7 @@ func TestProbeAliveTracksCohort(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(16, 5, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +21,19 @@ func TestProbeAliveTracksCohort(t *testing.T) {
 	for _, r := range sweep.Responders {
 		cohort = append(cohort, r.Addr)
 	}
-	alive := s.ProbeAlive(cohort)
+	alive, err := s.ProbeAliveContext(context.Background(), cohort)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(alive) < len(cohort)*95/100 {
 		t.Errorf("same-time reprobe found only %d/%d", len(alive), len(cohort))
 	}
 	// A week later, many are gone.
 	tr.SetTime(wildnet.At(1))
-	aliveLater := s.ProbeAlive(cohort)
+	aliveLater, err := s.ProbeAliveContext(context.Background(), cohort)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(aliveLater) >= len(alive) {
 		t.Errorf("no churn observed: %d then %d", len(alive), len(aliveLater))
 	}
@@ -52,11 +58,11 @@ func TestLookupPTRAndA(t *testing.T) {
 	if name == "" {
 		t.Skip("no round-trippable rDNS name found")
 	}
-	got, ok := s.LookupPTR(trusted, target)
+	got, ok := s.LookupPTR(context.Background(), trusted, target)
 	if !ok || got != name {
 		t.Fatalf("LookupPTR = %q/%v, want %q", got, ok, name)
 	}
-	addrs, rc, ok := s.LookupA(trusted, name)
+	addrs, rc, ok := s.LookupA(context.Background(), trusted, name)
 	if !ok || rc != dnswire.RCodeNoError || len(addrs) != 1 || addrs[0] != target {
 		t.Errorf("LookupA(%q) = %v rc=%v ok=%v", name, addrs, rc, ok)
 	}
@@ -67,7 +73,7 @@ func TestLookupAForNXDomain(t *testing.T) {
 	defer tr.Close()
 	s := testScanner(tr)
 	trusted := w.RoleAddr(wildnet.RoleTrustedDNS, 0)
-	addrs, rc, ok := s.LookupA(trusted, "ghoogle.com")
+	addrs, rc, ok := s.LookupA(context.Background(), trusted, "ghoogle.com")
 	if !ok {
 		t.Fatal("trusted resolver silent")
 	}
@@ -102,12 +108,15 @@ func TestSnoopRoundAttribution(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(16, 5, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	round := s.SnoopRound(resolvers, "com", 0)
+	round, err := s.SnoopRoundContext(context.Background(), resolvers, "com", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(round) < len(resolvers)/2 {
 		t.Errorf("snoop round reached %d/%d resolvers", len(round), len(resolvers))
 	}
@@ -133,7 +142,7 @@ func TestTruncationAndTCPFallback(t *testing.T) {
 		if c, ok := w.AmpClassAt(u, wildnet.At(0)); !ok || c != wildnet.AmpModerate {
 			continue
 		}
-		msgs, fellBack := s.ProbeTC(u, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
+		msgs, fellBack := s.ProbeTC(context.Background(), u, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
 		if !fellBack {
 			continue
 		}

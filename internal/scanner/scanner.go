@@ -16,10 +16,9 @@
 // Transports without wildnet.BatchSender are adapted by a per-probe
 // Send loop, so there is one dispatch path.
 //
-// Every scan entrypoint has a context-aware variant (SweepContext,
-// ScanDomainsContext, ...) that aborts between send batches, between
-// retry rounds, and during settle waits. The ctx-less names are thin
-// compatibility wrappers over those.
+// Every scan entrypoint takes the caller's context first (SweepContext,
+// ScanDomainsContext, LookupPTR, ...) and aborts between send batches,
+// between retry rounds, and during settle waits.
 package scanner
 
 import (
@@ -41,13 +40,6 @@ import (
 // scanner's view of a transport can never drift from the
 // implementations (wildnet.MemTransport, wildnet.UDPTransport).
 type Transport = wildnet.Transport
-
-// bgCtx backs the ctx-less compatibility wrappers (Sweep, ScanDomains,
-// ...). New code should call the Context variants with a real caller
-// context instead.
-//
-//lint:allow ctxhygiene sole Background escape for the ctx-less compatibility wrappers
-var bgCtx = context.Background()
 
 // NoRetries is the Options.Retries value that disables retransmission
 // rounds entirely (the zero value means "default", which is 1 round).
@@ -218,9 +210,9 @@ func (r *rateLimiter) wait(ctx context.Context) {
 //
 // Cancellation is polled via ctx.Err() so a cancel() that fires inside a
 // Send callback is observed at the very next probe — no watcher
-// goroutine, no scheduling latency. The ctx-less wrappers pass a context
-// whose Done() is nil, which skips the polling entirely and keeps the
-// hot path exactly as fast as before contexts existed.
+// goroutine, no scheduling latency. A context whose Done() is nil
+// (context.Background) skips the polling entirely and keeps the hot path
+// exactly as fast as before contexts existed.
 func (s *Scanner) sendAll(ctx context.Context, n int, send func(i int)) error {
 	cancellable := ctx.Done() != nil
 	if m := s.opts.Shards; m > 1 {

@@ -19,13 +19,6 @@ type SnoopObs struct {
 	TTL uint32
 }
 
-// SnoopRound sends one non-recursive NS query for tld to every resolver;
-// it is the ctx-less wrapper over SnoopRoundContext.
-func (s *Scanner) SnoopRound(resolvers []uint32, tld string, seq uint16) map[uint32]SnoopObs {
-	out, _ := s.SnoopRoundContext(bgCtx, resolvers, tld, seq)
-	return out
-}
-
 // SnoopRoundContext sends one non-recursive NS query for tld to every
 // resolver. seq is the per-round sequence number; a stateful resolver
 // sees it as the transaction ID, which is how often it has been probed so

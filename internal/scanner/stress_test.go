@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestSweepStressParallel(t *testing.T) {
 			defer tr.Close()
 			reg := metrics.New()
 			s := New(tr, Options{Shards: 4, RatePPS: 2_000_000, SettleDelay: NoSettle, Metrics: reg})
-			res, err := s.Sweep(14, seed, w.ScanBlacklist())
+			res, err := s.SweepContext(context.Background(), 14, seed, w.ScanBlacklist())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -128,13 +128,6 @@ func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload [
 	})
 }
 
-// Sweep probes every address of a 2^order space once, in LFSR-permuted
-// order, skipping the blacklist. It is the ctx-less wrapper over
-// SweepContext.
-func (s *Scanner) Sweep(order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResult, error) {
-	return s.SweepContext(bgCtx, order, seed, bl)
-}
-
 // SweepContext probes every address of a 2^order space once, in
 // LFSR-permuted order, skipping the blacklist. Each probe is a DNS A
 // query for prefix.hex-ip.scanbase, so responses are attributed to the
@@ -230,12 +223,6 @@ func (s *Scanner) publishShardGauges(order uint, seed uint32, bl *lfsr.Blacklist
 	}
 }
 
-// SweepShard probes only shard i of m of the sweep permutation; it is the
-// ctx-less wrapper over SweepShardContext.
-func (s *Scanner) SweepShard(order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
-	return s.SweepShardContext(bgCtx, order, seed, bl, shard, of)
-}
-
 // SweepShardContext probes shard `shard` of `of` of a 2^order sweep: the
 // targets lfsr.ShardedGenerator(order, seed, bl, shard, of) yields, i.e.
 // every of-th slot of the full permutation. Separate processes can each
@@ -249,13 +236,6 @@ func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32
 		return nil, fmt.Errorf("scanner: shard %d/%d out of range", shard, of)
 	}
 	return s.sweep(ctx, sweepPlan{order: order, seed: seed, bl: bl, first: shard, n: 1, of: of})
-}
-
-// Probe sends a single query toward one resolver; it is the ctx-less
-// wrapper over ProbeContext.
-func (s *Scanner) Probe(addr uint32, name string, typ dnswire.Type, class dnswire.Class) []*dnswire.Message {
-	out, _ := s.ProbeContext(bgCtx, addr, name, typ, class)
-	return out
 }
 
 // ProbeContext sends a single query toward one resolver and returns all

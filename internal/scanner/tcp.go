@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"net/netip"
 	"sync"
 
@@ -18,8 +19,8 @@ type TCPQuerier interface {
 // ProbeTC sends one UDP query and, when the response is truncated and the
 // transport supports TCP, retries the exchange over TCP. It returns the
 // final responses (TCP replacing the truncated UDP answer) and whether a
-// TCP fallback happened.
-func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, bool) {
+// TCP fallback happened. A dead ctx cuts the settle wait short.
+func (s *Scanner) ProbeTC(ctx context.Context, addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, bool) {
 	if s.tr == nil {
 		return nil, false
 	}
@@ -36,8 +37,9 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 	wire := packQuery(0x7C17, name, typ, class)
 	s.m.tcpSent.Inc()
 	//lint:allow errdrop TC-probe send failures are modeled packet loss
-	s.tr.Send(bgCtx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)
-	s.settle(bgCtx)
+	s.tr.Send(ctx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)
+	// A settle that ctx cuts short keeps the responses gathered so far.
+	s.settle(ctx)
 
 	mu.Lock()
 	defer mu.Unlock()
